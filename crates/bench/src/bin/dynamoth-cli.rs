@@ -120,12 +120,14 @@ fn write_game_series(mut w: impl Write, series: &GameSeries) {
     }
 }
 
+/// Every command, for the usage and unknown-command messages.
+const COMMANDS: &str = "fig4a|fig4b|fig5|fig7|chat|bench-broker|bench-router|bench-rebalance|\
+                        bench-resume|bench-failover|bench-scale";
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = raw.first().cloned() else {
-        eprintln!(
-            "usage: dynamoth-cli <fig4a|fig4b|fig5|fig7|chat> [flags]  (see the source header)"
-        );
+        eprintln!("usage: dynamoth-cli <{COMMANDS}> [flags]  (see the source header)");
         std::process::exit(2);
     };
     let args = Args::parse(&raw[1..]);
@@ -430,11 +432,7 @@ fn main() {
             }
         }
         other => {
-            eprintln!(
-                "unknown command {other:?}; expected \
-                 fig4a|fig4b|fig5|fig7|chat|bench-broker|bench-router|bench-rebalance|\
-                 bench-resume|bench-failover|bench-scale"
-            );
+            eprintln!("unknown command {other:?}; expected {COMMANDS}");
             std::process::exit(2);
         }
     }

@@ -4,11 +4,12 @@
 //! The [`LoadBalancer`] actor ingests [`LlaReport`](crate::LlaReport)s
 //! from every Local
 //! Load Analyzer, and on every evaluation tick (gated by `T_wait`) runs
-//! the two-step rebalancer: channel-level replication (Algorithm 1) then
-//! system-level high-load rebalancing (Algorithm 2) or, when the system
-//! is underloaded, the low-load drain. New plans are pushed reliably to
-//! every dispatcher. Server rental/release is simulated with a
-//! provisioning delay.
+//! the shared [`reactive_pass`]: channel-level replication (Algorithm 1)
+//! then system-level high-load rebalancing (Algorithm 2) or, when the
+//! system is underloaded, the low-load drain. New plans are pushed
+//! reliably to every dispatcher. Server rental/release is simulated with
+//! a provisioning delay. A dead server's channels are remapped by the
+//! same bounded-load replan the live balancer runs.
 
 pub mod adaptive;
 // The algorithm implementations moved to `dynamoth-pubsub` so the live
@@ -29,6 +30,8 @@ use crate::trace::{RebalanceKind, TraceHandle};
 use crate::types::{PlanId, ServerId};
 
 use adaptive::AdaptiveThresholds;
+use dynamoth_pubsub::balance::bounded::replan_dead;
+use dynamoth_pubsub::balance::reactive_pass;
 use estimator::LoadView;
 
 /// Timer tag of the periodic evaluation tick.
@@ -262,7 +265,7 @@ impl LoadBalancer {
         if !self.gate_open(now) {
             return;
         }
-        let mut view = LoadView::from_store_with_cpu(
+        let view = LoadView::from_store_with_cpu(
             &self.store,
             &self.active,
             self.cfg.capacity_per_tick(),
@@ -271,58 +274,29 @@ impl LoadBalancer {
         // Failed servers are routed around, so every resolve the
         // algorithms gate on must agree with where traffic really goes.
         let excluded: Vec<ServerId> = self.failed.iter().copied().collect();
-        let plan = &self.plan;
-        let ring = &self.ring;
-        let mut aggregates: Vec<_> = self
-            .store
-            .channel_aggregates(|c| plan.resolve_excluding(c, ring, &excluded))
-            .into_iter()
-            .collect();
-        aggregates.sort_by_key(|&(c, _)| c);
-
-        // Step 1: channel-level (micro) rebalancing — Algorithm 1.
-        let mut plan = self.plan.clone();
-        let cl_changed = channel_level::apply(
-            &mut plan,
+        let out = reactive_pass(
+            &self.plan,
             &self.ring,
-            &aggregates,
-            &mut view,
+            &self.store,
+            view,
             &self.active,
             &self.effective,
             &excluded,
         );
-
-        // Step 2: system-level (macro) rebalancing — Algorithm 2.
-        let high = high_load::rebalance(&plan, &mut view, &self.ring, &self.effective, &excluded);
-        let mut plan = high.plan;
-
-        // Step 3: low-load drain, only when nothing else is going on.
-        let mut release = None;
-        if !high.changed && high.servers_wanted == 0 && !cl_changed {
-            if let Some(low) =
-                low_load::rebalance(&plan, &mut view, &self.ring, &self.effective, &excluded)
-            {
-                release = Some(low.release);
-                plan = low.plan;
-            }
+        if out.servers_wanted > 0 {
+            self.spawn_servers(now, out.servers_wanted);
         }
-
-        if high.servers_wanted > 0 {
-            self.spawn_servers(now, high.servers_wanted);
-        }
-
-        let changed = cl_changed || high.changed || release.is_some();
-        if changed {
-            let kind = if let Some(victim) = release {
+        if out.changed() {
+            let kind = if let Some(victim) = out.drained {
                 self.active.retain(|&s| s != victim);
                 self.store.forget(victim);
                 RebalanceKind::LowLoad
-            } else if high.changed {
+            } else if out.high_load {
                 RebalanceKind::HighLoad
             } else {
                 RebalanceKind::ChannelLevel
             };
-            self.push_plan(ctx, now, plan, kind);
+            self.push_plan(ctx, now, out.plan, kind);
         }
     }
 
@@ -370,40 +344,37 @@ impl LoadBalancer {
         }
         for &s in &failed {
             self.active.retain(|&a| a != s);
-            self.store.forget(s);
             self.last_report.remove(&s);
             self.failed.insert(s);
         }
         // A failed server that was mid-provisioning must not be promoted.
         self.pending.retain(|&(s, _)| !failed.contains(&s));
+        // Replan each corpse onto the healthy pool with the bounded-load
+        // walk *before* its metrics are forgotten: they are the only
+        // estimate of what each of its channels carries. Resolution
+        // excludes every other corpse (traffic routes around them) but
+        // not this one, so the replan still sees the mapping it must
+        // replace.
+        let mut plan = self.plan.clone();
+        for &dead in &failed {
+            let prior: Vec<ServerId> = self.failed.iter().copied().filter(|&s| s != dead).collect();
+            (plan, _) = replan_dead(
+                &plan,
+                &self.ring,
+                &self.store,
+                self.known_channels.iter().copied(),
+                dead,
+                &self.active,
+                &prior,
+            );
+        }
+        for &s in &failed {
+            self.store.forget(s);
+        }
         if self.active.is_empty() {
             // Nothing healthy to fail over to; wait for provisioning.
             self.spawn_servers(now, failed.len());
             return;
-        }
-        // Remap every known channel that resolved to a failed server,
-        // spreading them round-robin over the healthy pool. Resolution
-        // excludes *earlier* corpses (traffic already routes around
-        // them) but not this batch, so the containment check still
-        // sees the dying mapping it must replace.
-        let prior: Vec<ServerId> = self
-            .failed
-            .iter()
-            .copied()
-            .filter(|s| !failed.contains(s))
-            .collect();
-        let mut plan = self.plan.clone();
-        let healthy = self.active.clone();
-        let mut round = 0usize;
-        for &channel in &self.known_channels.clone() {
-            let mapping = plan.resolve_excluding(channel, &self.ring, &prior);
-            for &dead in &failed {
-                if mapping.contains(dead) {
-                    let target = healthy[round % healthy.len()];
-                    round += 1;
-                    plan.migrate_excluding(channel, dead, target, &self.ring, &prior);
-                }
-            }
         }
         self.push_plan(ctx, now, plan, RebalanceKind::Failover);
         // Replace the lost capacity.

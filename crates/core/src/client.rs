@@ -20,9 +20,10 @@
 //! `(destination, message)` pairs to put on the wire, which the embedding
 //! actor sends. This makes the protocol logic directly unit-testable.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
+use dynamoth_pubsub::Dedup;
 #[cfg(test)]
 use dynamoth_sim::SimDuration;
 use dynamoth_sim::{NodeId, SimRng, SimTime};
@@ -78,27 +79,6 @@ struct PlanEntry {
     version: PlanId,
 }
 
-#[derive(Debug, Default)]
-struct Dedup {
-    seen: HashSet<MessageId>,
-    order: VecDeque<MessageId>,
-}
-
-impl Dedup {
-    /// Returns `true` if `id` is new (not a duplicate), recording it.
-    fn insert(&mut self, id: MessageId, cap: usize) -> bool {
-        if !self.seen.insert(id) {
-            return false;
-        }
-        self.order.push_back(id);
-        while self.order.len() > cap {
-            let old = self.order.pop_front().expect("non-empty");
-            self.seen.remove(&old);
-        }
-        true
-    }
-}
-
 /// The client-side middleware state machine.
 ///
 /// # Examples
@@ -139,7 +119,7 @@ pub struct DynamothClient {
     /// Servers we recently published to (publishers get no deliveries,
     /// so liveness must watch these explicitly).
     last_published: HashMap<ServerId, SimTime>,
-    dedup: Dedup,
+    dedup: Dedup<MessageId>,
     next_seq: u64,
     stats: ClientStats,
 }
@@ -754,7 +734,7 @@ mod tests {
             let p = publication(1, seq);
             client.on_message(SimTime::ZERO, &mut rng, sid(0).node(), Msg::Deliver(p));
         }
-        assert!(client.dedup.seen.len() <= cap);
+        assert!(client.dedup.len() <= cap);
     }
 
     #[test]
@@ -1088,60 +1068,5 @@ mod tests {
         assert_ne!(id1, id2);
         assert!(id2.seq > id1.seq);
         assert_eq!(id1.origin, client.node());
-    }
-
-    #[test]
-    fn dedup_eviction_is_strictly_fifo() {
-        // Over-fill the window far past capacity and assert the oldest
-        // ids — and only the oldest — have been forgotten. If eviction
-        // ever discards an arbitrary entry instead of the oldest, a
-        // reconfiguration duplicate of a recent message would slip
-        // through as a fresh delivery.
-        let mid = |seq| MessageId {
-            origin: NodeId::from_index(99),
-            seq,
-        };
-        let cap = 8;
-        let mut dedup = Dedup::default();
-        for seq in 0..3 * cap as u64 {
-            assert!(dedup.insert(mid(seq), cap), "id {seq} is new");
-        }
-        // Exactly the `cap` most recent ids are remembered, in order.
-        assert_eq!(dedup.order.len(), cap);
-        assert_eq!(
-            dedup.order.iter().map(|id| id.seq).collect::<Vec<_>>(),
-            (2 * cap as u64..3 * cap as u64).collect::<Vec<_>>()
-        );
-        for seq in 2 * cap as u64..3 * cap as u64 {
-            assert!(
-                !dedup.insert(mid(seq), cap),
-                "recent id {seq} must still dedup"
-            );
-        }
-        // Evicted (oldest) ids are treated as new again — the window is
-        // a bounded memory, not a permanent filter.
-        assert!(dedup.insert(mid(0), cap));
-    }
-
-    #[test]
-    fn dedup_reinserting_a_seen_id_does_not_grow_the_window() {
-        // A duplicate insert must not push a second FIFO entry for the
-        // same id: that would make the window evict fresh ids early.
-        let mid = |seq| MessageId {
-            origin: NodeId::from_index(7),
-            seq,
-        };
-        let mut dedup = Dedup::default();
-        for seq in 0..4 {
-            assert!(dedup.insert(mid(seq), 4));
-        }
-        for seq in 0..4 {
-            assert!(!dedup.insert(mid(seq), 4));
-        }
-        assert_eq!(dedup.order.len(), 4);
-        // One more fresh id evicts exactly the oldest.
-        assert!(dedup.insert(mid(10), 4));
-        assert!(!dedup.seen.contains(&mid(0)));
-        assert!(dedup.seen.contains(&mid(1)));
     }
 }

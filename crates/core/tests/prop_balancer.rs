@@ -1,6 +1,6 @@
 //! Property tests for the load-balancing algorithms: Algorithm 2's
-//! post-conditions and the estimator's conservation laws under arbitrary
-//! load distributions.
+//! post-conditions, the estimator's conservation laws and the ordering
+//! of the shared reactive pass under arbitrary load distributions.
 
 use dynamoth_core::balancer::estimator::LoadView;
 use dynamoth_core::balancer::{high_load, low_load};
@@ -8,6 +8,7 @@ use dynamoth_core::{
     ChannelId, ChannelTick, DynamothConfig, LlaReport, MetricsStore, Plan, Ring, ServerId,
     DEFAULT_VNODES,
 };
+use dynamoth_pubsub::balance::reactive_pass;
 use dynamoth_sim::NodeId;
 use proptest::prelude::*;
 
@@ -18,31 +19,67 @@ fn sid(i: usize) -> ServerId {
 /// Builds a store where server `i` hosts the given channels with the
 /// given per-tick byte loads.
 fn store_from(dist: &[Vec<(u64, u64)>]) -> (MetricsStore, Vec<ServerId>) {
+    let ticks: Vec<Vec<(u64, ChannelTick)>> = dist
+        .iter()
+        .map(|channels| {
+            channels
+                .iter()
+                .map(|&(c, b)| {
+                    let tick = ChannelTick {
+                        bytes_out: b,
+                        ..Default::default()
+                    };
+                    (c, tick)
+                })
+                .collect()
+        })
+        .collect();
+    store_with_ticks(&ticks)
+}
+
+/// Builds a store where server `i` reports the given channel ticks.
+fn store_with_ticks(dist: &[Vec<(u64, ChannelTick)>]) -> (MetricsStore, Vec<ServerId>) {
     let mut store = MetricsStore::new(1);
     let servers: Vec<ServerId> = (0..dist.len()).map(sid).collect();
     for (i, channels) in dist.iter().enumerate() {
-        let egress: u64 = channels.iter().map(|&(_, b)| b).sum();
         store.record(LlaReport {
             server: sid(i),
             tick: 0,
-            measured_egress_bytes: egress,
+            measured_egress_bytes: channels.iter().map(|(_, t)| t.bytes_out).sum(),
             capacity_bytes: 1_000.0,
             cpu_busy_micros: 0,
-            channels: channels
-                .iter()
-                .map(|&(c, b)| {
-                    (
-                        ChannelId(c),
-                        ChannelTick {
-                            bytes_out: b,
-                            ..Default::default()
-                        },
-                    )
-                })
-                .collect(),
+            channels: channels.iter().map(|&(c, t)| (ChannelId(c), t)).collect(),
         });
     }
     (store, servers)
+}
+
+/// Like [`arb_distribution`], with publication and subscriber counts
+/// wide enough that Algorithm 1 replicates some channels.
+fn arb_traffic() -> impl Strategy<Value = Vec<Vec<(u64, ChannelTick)>>> {
+    let channel = (1u64..600, 0u64..2_000, 0u32..400);
+    prop::collection::vec(prop::collection::vec(channel, 0..6), 2..6).prop_map(|loads| {
+        let mut next_channel = 0u64;
+        loads
+            .into_iter()
+            .map(|server_loads| {
+                server_loads
+                    .into_iter()
+                    .map(|(bytes, publications, subscribers)| {
+                        next_channel += 1;
+                        let tick = ChannelTick {
+                            bytes_out: bytes,
+                            publications,
+                            subscribers,
+                            publishers: 1,
+                            ..Default::default()
+                        };
+                        (next_channel, tick)
+                    })
+                    .collect()
+            })
+            .collect()
+    })
 }
 
 /// A random per-server channel distribution with disjoint channel ids.
@@ -180,6 +217,28 @@ proptest! {
             prop_assert_eq!(mapping.replication_factor(), 1);
             prop_assert!(servers.contains(&mapping.servers()[0]));
         }
+    }
+    /// The reactive pass both balancers share: the low-load drain fires
+    /// only in an evaluation where neither Algorithm 1 nor Algorithm 2
+    /// changed the plan and no server is wanted, and the outcome is a
+    /// function of the inputs alone.
+    #[test]
+    fn reactive_pass_drains_only_a_quiet_system(dist in arb_traffic(), lr_low in 0.0f64..0.7) {
+        let (store, servers) = store_with_ticks(&dist);
+        let ring = ring_of(&servers);
+        let cfg = DynamothConfig { lr_low, ..cfg() };
+        let run = || {
+            let view = LoadView::from_store(&store, &servers, 1_000.0);
+            reactive_pass(&Plan::bootstrap(), &ring, &store, view, &servers, &cfg, &[])
+        };
+        let out = run();
+        if out.drained.is_some() {
+            prop_assert!(
+                !out.channel_level && !out.high_load && out.servers_wanted == 0,
+                "drain fired in a busy evaluation: {out:?}"
+            );
+        }
+        prop_assert_eq!(out, run());
     }
 }
 

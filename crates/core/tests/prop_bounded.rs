@@ -3,10 +3,13 @@
 //! eligible server has room, placement is a pure function of its
 //! inputs, and `rehome` implements the balls-and-bins minimal-movement
 //! contract — a channel moves only off an over-cap or ineligible home.
+//! The dead-server replan both balancers share is checked the same way.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use dynamoth_pubsub::{BoundedPlacer, Channel as ChannelId, Ring, ServerId};
+use dynamoth_pubsub::balance::bounded::replan_dead;
+use dynamoth_pubsub::balance::metrics::{ChannelTick, LlaReport, MetricsStore};
+use dynamoth_pubsub::{BoundedPlacer, Channel as ChannelId, ChannelMapping, Plan, Ring, ServerId};
 use proptest::prelude::*;
 
 fn servers(n: usize) -> Vec<ServerId> {
@@ -15,6 +18,53 @@ fn servers(n: usize) -> Vec<ServerId> {
 
 fn seeded(ids: &[ServerId], loads: &[f64]) -> Vec<(ServerId, f64)> {
     ids.iter().copied().zip(loads.iter().copied()).collect()
+}
+
+/// A cluster of `n` servers for the replan properties: `channels` are
+/// `(id, pinned home, bytes)`; a channel is pinned to `Single(home)`
+/// when `pin` says so and rides the ring otherwise. Each server reports
+/// the bytes of the channels that resolve to it. Returns the ring, the
+/// plan, the store and every channel with its bytes.
+fn replan_cluster(
+    n: usize,
+    channels: &[(u64, usize, u64, bool)],
+) -> (Ring, Plan, MetricsStore, BTreeMap<ChannelId, u64>) {
+    let ids = servers(n);
+    let ring = Ring::new(&ids, 64);
+    let mut plan = Plan::bootstrap();
+    let mut universe = BTreeMap::new();
+    for &(c, home, bytes, pin) in channels {
+        if universe.insert(ChannelId(c), bytes).is_none() && pin {
+            plan.set(ChannelId(c), ChannelMapping::Single(ids[home % n]));
+        }
+    }
+    let mut store = MetricsStore::new(1);
+    for &s in &ids {
+        let on: Vec<(ChannelId, ChannelTick)> = universe
+            .iter()
+            .filter(|&(&c, _)| plan.resolve(c, &ring).servers() == [s])
+            .map(|(&c, &b)| {
+                let tick = ChannelTick {
+                    bytes_out: b,
+                    ..Default::default()
+                };
+                (c, tick)
+            })
+            .collect();
+        store.record(LlaReport {
+            server: s,
+            tick: 0,
+            measured_egress_bytes: on.iter().map(|(_, t)| t.bytes_out).sum(),
+            capacity_bytes: 1_000.0,
+            cpu_busy_micros: 0,
+            channels: on,
+        });
+    }
+    (ring, plan, store, universe)
+}
+
+fn arb_replan_channels() -> impl Strategy<Value = Vec<(u64, usize, u64, bool)>> {
+    prop::collection::vec((0u64..5_000, 0usize..8, 0u64..500, any::<bool>()), 1..48)
 }
 
 proptest! {
@@ -154,6 +204,73 @@ proptest! {
             if keeps {
                 prop_assert_eq!(target, home, "under-cap channel migrated on growth");
             }
+        }
+    }
+    /// The shared dead-server replan touches only the channels that
+    /// resolve to the dead server; each of those lands on survivors.
+    #[test]
+    fn replan_moves_only_the_dead_servers_channels(
+        n in 2usize..7,
+        dead in 0usize..7,
+        channels in arb_replan_channels(),
+    ) {
+        let (ring, plan, store, universe) = replan_cluster(n, &channels);
+        let ids = servers(n);
+        let dead = ids[dead % n];
+        let survivors: Vec<ServerId> = ids.iter().copied().filter(|&s| s != dead).collect();
+        let (after, _) =
+            replan_dead(&plan, &ring, &store, universe.keys().copied(), dead, &survivors, &[]);
+        for &c in universe.keys() {
+            let old = plan.resolve(c, &ring);
+            let new = after.resolve(c, &ring);
+            if old.contains(dead) {
+                prop_assert!(
+                    new.servers().iter().all(|s| survivors.contains(s)),
+                    "channel {c} left on {new:?}"
+                );
+            } else {
+                prop_assert_eq!(old, new, "channel {} of a live server moved", c);
+            }
+        }
+    }
+
+    /// Replayed in the replan's own order (heaviest first, ties by id),
+    /// every placement stays under the cap whenever some survivor had
+    /// room for it.
+    #[test]
+    fn replan_respects_the_cap_whenever_feasible(
+        n in 2usize..7,
+        dead in 0usize..7,
+        channels in arb_replan_channels(),
+    ) {
+        let (ring, plan, store, universe) = replan_cluster(n, &channels);
+        let ids = servers(n);
+        let dead = ids[dead % n];
+        let survivors: Vec<ServerId> = ids.iter().copied().filter(|&s| s != dead).collect();
+        let (after, placer) =
+            replan_dead(&plan, &ring, &store, universe.keys().copied(), dead, &survivors, &[]);
+        let cap = placer.cap_bytes();
+        let mut loads: HashMap<ServerId, f64> = survivors
+            .iter()
+            .map(|&s| (s, store.egress_bytes_per_tick(s).unwrap_or(0.0)))
+            .collect();
+        let mut homeless: Vec<(ChannelId, f64)> = universe
+            .iter()
+            .filter(|&(&c, _)| plan.resolve(c, &ring).contains(dead))
+            .map(|(&c, &b)| (c, b as f64))
+            .collect();
+        homeless.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        for (c, bytes) in homeless {
+            let feasible = loads.values().any(|&p| p + bytes <= cap);
+            let target = after.resolve(c, &ring).servers()[0];
+            if feasible {
+                prop_assert!(
+                    loads[&target] + bytes <= cap + 1e-6,
+                    "feasible replan blew the cap: {} + {} > {}",
+                    loads[&target], bytes, cap
+                );
+            }
+            *loads.get_mut(&target).expect("survivor") += bytes;
         }
     }
 }

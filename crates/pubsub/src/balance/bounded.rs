@@ -10,7 +10,8 @@
 //! owner is at the cap spills clockwise to the next server on the ring
 //! walk. [`BoundedPlacer`] packages that rule so the balancer's
 //! steady-state placement pass and the whole-broker emergency replan
-//! run one implementation.
+//! run one implementation, and [`replan_dead`] is the dead-server
+//! remap both the simulator's and the live balancer's failover call.
 //!
 //! Churn on server-set changes follows *Load Balancing with Dynamic Set
 //! of Balls and Bins* (arXiv 2104.05093): [`BoundedPlacer::rehome`]
@@ -20,9 +21,16 @@
 
 use std::collections::HashMap;
 
+use super::metrics::MetricsStore;
 use crate::channel::Channel as ChannelId;
 use crate::hashing::Ring;
 use crate::ids::ServerId;
+use crate::plan::{ChannelMapping, Plan};
+
+/// ε of the bounded-load rule: a server is skipped (spilling the
+/// channel to the next ring node) once its projected load would exceed
+/// `(1+ε)×` the projected mean.
+pub const EPSILON: f64 = 0.25;
 
 /// A load-capped first-fit placer over a consistent-hashing ring.
 ///
@@ -210,6 +218,78 @@ impl BoundedPlacer {
         }
         self.place(ring, channel, bytes, &[])
     }
+}
+
+/// Reassigns every channel that resolves to the dead server `dead`
+/// (resolution honours the earlier corpses in `prior`, which traffic
+/// already routes around) onto `survivors`: heaviest first — first-fit
+/// decreasing packs tightest under the cap, ties by id for determinism
+/// — each through the [`BoundedPlacer`] walk. Surviving replica members
+/// are kept; a replicated channel left with one member collapses to
+/// `Single`.
+///
+/// Channel weights and survivor loads come from `store`, so call this
+/// *before* forgetting the dead server's metrics: they are the only
+/// estimate of what each of its channels carries. The dead load counts
+/// as pending, so the cap reflects the post-failover system; with
+/// nothing measured anywhere the placer runs uncapped and the walk is
+/// plain consistent hashing.
+///
+/// Returns the candidate plan and the placer holding the projected
+/// post-replan loads and the cap.
+pub fn replan_dead(
+    plan: &Plan,
+    ring: &Ring,
+    store: &MetricsStore,
+    channels: impl IntoIterator<Item = ChannelId>,
+    dead: ServerId,
+    survivors: &[ServerId],
+    prior: &[ServerId],
+) -> (Plan, BoundedPlacer) {
+    let mut homeless: Vec<(ChannelId, f64)> = channels
+        .into_iter()
+        .filter(|&id| {
+            plan.resolve_excluding(id, ring, prior)
+                .servers()
+                .contains(&dead)
+        })
+        .map(|id| (id, store.channel_bytes_on(dead, id)))
+        .collect();
+    homeless.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+
+    let loads: Vec<(ServerId, f64)> = survivors
+        .iter()
+        .map(|&s| (s, store.egress_bytes_per_tick(s).unwrap_or(0.0)))
+        .collect();
+    let pending: f64 = homeless.iter().map(|&(_, b)| b).sum();
+    let mut placer = BoundedPlacer::new(&loads, EPSILON, pending, 0.0);
+
+    let mut candidate = plan.clone();
+    for &(id, bytes) in &homeless {
+        let old = plan.resolve_excluding(id, ring, prior);
+        let keep: Vec<ServerId> = old
+            .servers()
+            .iter()
+            .copied()
+            .filter(|&s| s != dead && placer.is_eligible(s))
+            .collect();
+        let mut members = keep.clone();
+        if let Some(target) = placer.place(ring, id, bytes, &keep) {
+            members.push(target);
+        }
+        let mapping = match (&old, members.len()) {
+            (_, 0) => continue, // no survivors: nothing to place onto
+            (ChannelMapping::AllSubscribers(_), n) if n >= 2 => {
+                ChannelMapping::AllSubscribers(members)
+            }
+            (ChannelMapping::AllPublishers(_), n) if n >= 2 => {
+                ChannelMapping::AllPublishers(members)
+            }
+            _ => ChannelMapping::Single(members[0]),
+        };
+        candidate.set(id, mapping);
+    }
+    (candidate, placer)
 }
 
 #[cfg(test)]

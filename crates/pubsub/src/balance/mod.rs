@@ -10,6 +10,13 @@
 //! instead of the simulator's full `DynamothConfig`, so callers on
 //! either tier pass whatever configuration type they hold (`core`
 //! provides `impl From<&DynamothConfig> for Tuning`).
+//!
+//! The two drivers also share the *sequence* the algorithms run in:
+//! [`reactive_pass`] is the one Algorithm 1 → Algorithm 2 → low-load
+//! drain evaluation, and [`bounded::replan_dead`] the one dead-server
+//! remap. Each driver keeps only its own gate (the simulator's
+//! `T_wait`; the live tier's warm-up and settle windows) and its own
+//! follow-up (renting servers, journaling, installing plan deltas).
 
 pub mod bounded;
 pub mod channel_level;
@@ -17,6 +24,12 @@ pub mod estimator;
 pub mod high_load;
 pub mod low_load;
 pub mod metrics;
+
+use crate::hashing::Ring;
+use crate::ids::ServerId;
+use crate::plan::Plan;
+use estimator::LoadView;
+use metrics::MetricsStore;
 
 /// The threshold parameters consumed by Algorithms 1/2 and the low-load
 /// drain — the subset of the paper's tunables that the balancing math
@@ -67,6 +80,82 @@ impl From<&Tuning> for Tuning {
     fn from(t: &Tuning) -> Tuning {
         *t
     }
+}
+
+/// What one [`reactive_pass`] proposes, and which stages fired.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReactiveOutcome {
+    /// The candidate plan after every stage that fired.
+    pub plan: Plan,
+    /// Algorithm 1 changed a channel's replication.
+    pub channel_level: bool,
+    /// Algorithm 2 migrated channels off an overloaded server.
+    pub high_load: bool,
+    /// Servers Algorithm 2 wants added because the pool cannot absorb
+    /// the load.
+    pub servers_wanted: usize,
+    /// The server the low-load drain emptied, to be released.
+    pub drained: Option<ServerId>,
+}
+
+impl ReactiveOutcome {
+    /// `true` if any stage changed the plan.
+    pub fn changed(&self) -> bool {
+        self.channel_level || self.high_load || self.drained.is_some()
+    }
+}
+
+/// One reactive balancing evaluation (§III-B): channel aggregates under
+/// `plan` (sorted, so decisions are deterministic, and resolved around
+/// the `excluded` quarantine set), then channel-level replication
+/// (Algorithm 1), then system-level high-load migration (Algorithm 2),
+/// then — only when neither changed the plan and no server is wanted —
+/// the low-load drain. `view` holds the per-server load estimates over
+/// `active`; the pass stages its migrations on it.
+///
+/// A pure function of its inputs: the caller decides whether to
+/// install the candidate.
+pub fn reactive_pass(
+    plan: &Plan,
+    ring: &Ring,
+    store: &MetricsStore,
+    mut view: LoadView,
+    active: &[ServerId],
+    tuning: impl Into<Tuning>,
+    excluded: &[ServerId],
+) -> ReactiveOutcome {
+    let tuning: Tuning = tuning.into();
+    let mut aggregates: Vec<_> = store
+        .channel_aggregates(|c| plan.resolve_excluding(c, ring, excluded))
+        .into_iter()
+        .collect();
+    aggregates.sort_by_key(|&(c, _)| c);
+
+    let mut candidate = plan.clone();
+    let channel_level = channel_level::apply(
+        &mut candidate,
+        ring,
+        &aggregates,
+        &mut view,
+        active,
+        tuning,
+        excluded,
+    );
+    let high = high_load::rebalance(&candidate, &mut view, ring, tuning, excluded);
+    let mut out = ReactiveOutcome {
+        plan: high.plan,
+        channel_level,
+        high_load: high.changed,
+        servers_wanted: high.servers_wanted,
+        drained: None,
+    };
+    if !out.changed() && out.servers_wanted == 0 {
+        if let Some(low) = low_load::rebalance(&out.plan, &mut view, ring, tuning, excluded) {
+            out.plan = low.plan;
+            out.drained = Some(low.release);
+        }
+    }
+    out
 }
 
 /// Observed-capacity estimator for the load-ratio denominator `T_i`.

@@ -32,10 +32,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::balance::bounded::BoundedPlacer;
+use crate::balance::bounded::{replan_dead, BoundedPlacer, EPSILON};
 use crate::balance::estimator::LoadView;
-use crate::balance::metrics::{ChannelAggregate, LlaReport, MetricsStore};
-use crate::balance::{channel_level, high_load, low_load, CapacityEstimator, Tuning};
+use crate::balance::metrics::{LlaReport, MetricsStore};
+use crate::balance::{reactive_pass, CapacityEstimator, Tuning};
 use crate::broker::BrokerLoadHandle;
 use crate::channel::Channel as ChannelId;
 use crate::client::{ClientConfig, TcpPubSubClient};
@@ -85,11 +85,6 @@ pub struct BalancerConfig {
     /// serving broker would split routing. Only a failed probe declares
     /// death.
     pub probe_timeout: Duration,
-    /// ε of the bounded-load rule shared by the emergency replan and
-    /// the placement pass: a server is skipped (spilling the channel to
-    /// the next ring node) once its projected load exceeds `(1+ε)×` the
-    /// projected mean.
-    pub failover_epsilon: f64,
     /// Enables the proactive bounded-load placement pass: each
     /// evaluation, channels observed in `DMLLA1` reports that have no
     /// plan entry and whose ring home violates the `(1+ε)×`-mean cap
@@ -120,7 +115,6 @@ impl Default for BalancerConfig {
             report_interval: Duration::from_secs(1),
             suspect_after: 3,
             probe_timeout: Duration::from_millis(500),
-            failover_epsilon: 0.25,
             placement_pass: true,
             settle_ticks: 2,
         }
@@ -618,68 +612,25 @@ impl Engine {
         }
         self.active.sort();
 
-        let capacity = self.capacity.capacity().max(1.0);
         // Channels a router would currently send to the corpse: the
         // effective home honors *earlier* quarantines (routers already
         // route around those), so exclude every corpse but this one.
-        // Heaviest first: first-fit decreasing packs tightest under the
-        // cap; ties by id for determinism.
         let prior: Vec<ServerId> = self
             .quarantined_servers()
             .into_iter()
             .filter(|&s| s != dead)
             .collect();
-        let mut homeless: Vec<(ChannelId, f64)> = self
-            .names
-            .keys()
-            .filter(|&&id| {
-                self.plan
-                    .resolve_excluding(id, &self.ring, &prior)
-                    .servers()
-                    .contains(&dead)
-            })
-            .map(|&id| (id, self.store.channel_bytes_on(dead, id)))
-            .collect();
-        homeless.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let (mut candidate, placer) = replan_dead(
+            &self.plan,
+            &self.ring,
+            &self.store,
+            self.names.keys().copied(),
+            dead,
+            &survivors,
+            &prior,
+        );
 
-        // The shared bounded-load placer: survivors seeded from the
-        // live LLA view, the corpse's load counted as pending so the
-        // cap reflects the post-failover system. No cap floor here —
-        // with nothing measured anywhere the placer runs uncapped and
-        // the walk degenerates to plain consistent hashing.
-        let loads: Vec<(ServerId, f64)> = survivors
-            .iter()
-            .map(|&s| (s, self.store.egress_bytes_per_tick(s).unwrap_or(0.0)))
-            .collect();
-        let pending: f64 = homeless.iter().map(|&(_, b)| b).sum();
-        let mut placer = BoundedPlacer::new(&loads, self.cfg.failover_epsilon, pending, 0.0);
-
-        let mut candidate = self.plan.clone();
-        for &(id, bytes) in &homeless {
-            let old = self.plan.resolve_excluding(id, &self.ring, &prior);
-            let keep: Vec<ServerId> = old
-                .servers()
-                .iter()
-                .copied()
-                .filter(|&s| s != dead && placer.is_eligible(s))
-                .collect();
-            let mut members = keep.clone();
-            if let Some(target) = placer.place(&self.ring, id, bytes, &keep) {
-                members.push(target);
-            }
-            let mapping = match (&old, members.len()) {
-                (_, 0) => continue, // unreachable: survivors is non-empty
-                (ChannelMapping::AllSubscribers(_), n) if n >= 2 => {
-                    ChannelMapping::AllSubscribers(members)
-                }
-                (ChannelMapping::AllPublishers(_), n) if n >= 2 => {
-                    ChannelMapping::AllPublishers(members)
-                }
-                _ => ChannelMapping::Single(members[0]),
-            };
-            candidate.set(id, mapping);
-        }
-
+        let capacity = self.capacity.capacity().max(1.0);
         let changes = self.plan.diff_excluding(&candidate, &self.ring, &prior);
         let n = survivors.len() as f64;
         let mean_lr = placer.loads().map(|(_, b)| b).sum::<f64>() / n / capacity;
@@ -727,29 +678,20 @@ impl Engine {
         self.stats.lock().plans_installed += 1;
     }
 
-    /// One balancing evaluation, mirroring the simulator's
-    /// `evaluate_dynamoth`: the proactive bounded-load placement pass,
-    /// then Algorithm 1 (channel-level replication), then Algorithm 2
-    /// (high-load migration), then — only when the system is otherwise
-    /// stable — the low-load drain.
+    /// One balancing evaluation: the proactive bounded-load placement
+    /// pass, then — outside the settle window — the reactive pass the
+    /// simulator also runs ([`reactive_pass`]: Algorithm 1, Algorithm 2,
+    /// and only when the system is otherwise stable the low-load drain).
     fn evaluate(&mut self) {
         let capacity = self.capacity.capacity();
         let exclude = self.quarantined_servers();
         let mut view = LoadView::from_store(&self.store, &self.active, capacity);
-        let mut aggregates: Vec<(ChannelId, ChannelAggregate)> = self
-            .store
-            .channel_aggregates(|c| self.plan.resolve_excluding(c, &self.ring, &exclude))
-            .into_iter()
-            .collect();
-        aggregates.sort_by_key(|&(c, _)| c); // deterministic decisions
-
         let mut candidate = self.plan.clone();
         let placement_moves = if self.cfg.placement_pass {
             self.placement_pass(&mut candidate, &mut view, capacity, &exclude)
         } else {
             0
         };
-        let pre_reactive = candidate.clone();
         // Post-install settle: the reports right after a migration
         // double-count the handoff egress, so acting on them manufactures
         // follow-on migrations. Placement (above) is exempt — it judges
@@ -757,56 +699,32 @@ impl Engine {
         let settling = self
             .last_install_tick
             .is_some_and(|t| self.ticks.saturating_sub(t) < self.cfg.settle_ticks);
-        let mut cl_changed = false;
-        let mut high_changed = false;
         let mut servers_wanted = 0usize;
         let mut drained = None;
         if !settling {
-            cl_changed = channel_level::apply(
-                &mut candidate,
+            let out = reactive_pass(
+                &candidate,
                 &self.ring,
-                &aggregates,
-                &mut view,
+                &self.store,
+                view,
                 &self.active,
                 self.cfg.tuning,
                 &exclude,
             );
-            let high =
-                high_load::rebalance(&candidate, &mut view, &self.ring, self.cfg.tuning, &exclude);
-            candidate = high.plan;
-            high_changed = high.changed;
-            servers_wanted = high.servers_wanted;
-            if !high_changed && !cl_changed && servers_wanted == 0 && self.active.len() > 1 {
-                if let Some(out) = low_load::rebalance(
-                    &candidate,
-                    &mut view,
-                    &self.ring,
-                    self.cfg.tuning,
-                    &exclude,
-                ) {
-                    candidate = out.plan;
-                    drained = Some(out.release);
-                }
-            }
-        }
-
-        let reactive_moves = pre_reactive
-            .diff_excluding(&candidate, &self.ring, &exclude)
-            .len() as u64;
-        {
+            let reactive_moves = candidate
+                .diff_excluding(&out.plan, &self.ring, &exclude)
+                .len() as u64;
             let mut stats = self.stats.lock();
-            stats.placement_installs += placement_moves;
             stats.reactive_migrations += reactive_moves;
-            if cl_changed {
-                stats.channel_level_rebalances += 1;
-            }
-            if high_changed {
-                stats.high_load_rebalances += 1;
-            }
-            if drained.is_some() {
-                stats.low_load_drains += 1;
-            }
+            stats.channel_level_rebalances += u64::from(out.channel_level);
+            stats.high_load_rebalances += u64::from(out.high_load);
+            stats.low_load_drains += u64::from(out.drained.is_some());
+            drop(stats);
+            servers_wanted = out.servers_wanted;
+            drained = out.drained;
+            candidate = out.plan;
         }
+        self.stats.lock().placement_installs += placement_moves;
 
         if servers_wanted > 0 {
             // The pool cannot absorb the load: re-admit parked brokers
@@ -914,7 +832,7 @@ impl Engine {
         // ring is fine and the pass stays quiet rather than churning
         // plans over trivial imbalance.
         let cap_floor = self.cfg.tuning.lr_safe * capacity;
-        let mut placer = BoundedPlacer::new(&loads, self.cfg.failover_epsilon, 0.0, cap_floor);
+        let mut placer = BoundedPlacer::new(&loads, EPSILON, 0.0, cap_floor);
 
         // Work list: unmapped channels at their effective ring home.
         // Every mapped channel — including our own past placements —
@@ -1063,7 +981,6 @@ mod tests {
         assert!(cfg.install_refresh > cfg.tick);
         assert!(cfg.suspect_after >= 1);
         assert!(cfg.probe_timeout > Duration::ZERO);
-        assert!(cfg.failover_epsilon >= 0.0);
         // The detector must tolerate at least one report interval of
         // jitter before suspecting anyone.
         assert!(cfg.report_interval * cfg.suspect_after >= cfg.report_interval);

@@ -20,10 +20,10 @@
 //!   — randomly cut a forwarded chunk in half and kill the connection,
 //!   leaving the peer a torn RESP frame.
 //!
-//! Random decisions come from [SplitMix64](crate::rng) generators
-//! forked per connection and direction from the proxy's seed, so a
-//! failing chaos run replays with the same fault schedule (modulo OS
-//! chunk boundaries). The proxy also retargets: point
+//! Random decisions come from [`SimRng`] generators forked per
+//! connection and direction from the proxy's seed, so a failing chaos
+//! run replays with the same fault schedule (modulo OS chunk
+//! boundaries). The proxy also retargets: point
 //! [`set_upstream`](ChaosProxy::set_upstream) at a replacement broker
 //! and new connections go there — which is exactly how the chaos suite
 //! stages "broker restarted elsewhere" without racing on port reuse.
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::rng::SplitMix64;
+use dynamoth_sim::SimRng;
 
 /// A forwarding direction through the proxy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,8 +347,7 @@ fn spawn_pumps(conn: u64, client: TcpStream, server: TcpStream, shared: &Arc<Pro
             Direction::ClientToServer => 0,
             Direction::ServerToClient => 1,
         };
-        let mut seeder = SplitMix64::new(shared.seed ^ ((conn << 1) | dir_bit));
-        let rng = SplitMix64::new(seeder.next_u64());
+        let rng = SimRng::new(shared.seed ^ ((conn << 1) | dir_bit)).fork();
         handles.push(std::thread::spawn(move || {
             pump(conn, src, dst, dir, rng, &shared);
             shared.deregister(conn);
@@ -367,7 +366,7 @@ fn pump(
     mut src: TcpStream,
     mut dst: TcpStream,
     dir: Direction,
-    mut rng: SplitMix64,
+    mut rng: SimRng,
     shared: &ProxyShared,
 ) {
     let _ = src.set_read_timeout(Some(Duration::from_millis(25)));
@@ -405,7 +404,7 @@ fn pump(
         // Seeded truncation: forward half the chunk, then kill the
         // connection under the peer.
         let permille = shared.truncate_permille.load(Ordering::SeqCst);
-        if permille > 0 && rng.chance_permille(permille) {
+        if permille > 0 && rng.next_below(1000) < permille.min(1000) {
             let _ = dst.write_all(&chunk[..n / 2]);
             shared.truncations.fetch_add(1, Ordering::Relaxed);
             shared.deregister(conn);

@@ -40,7 +40,7 @@
 //! pub/sub server: payloads published by id-unaware clients are
 //! delivered verbatim (no id, no dedup).
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,10 +48,11 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dynamoth_sim::SimRng;
 use parking_lot::Mutex;
 
+use crate::dedup::Dedup;
 use crate::resp::{self, Value};
-use crate::rng::SplitMix64;
 use crate::seq;
 
 /// Tuning knobs of a [`TcpPubSubClient`].
@@ -248,6 +249,18 @@ pub struct Message {
     pub seq: Option<u64>,
 }
 
+/// A generator drawn from `seed`, or from per-process entropy (the std
+/// hasher's random keys) when the caller did not ask for reproducible
+/// jitter, origins and member picks.
+pub(crate) fn seeded_rng(seed: Option<u64>) -> SimRng {
+    SimRng::new(seed.unwrap_or_else(|| {
+        use std::hash::{BuildHasher, Hasher};
+        let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+        h.write_u64(std::process::id() as u64);
+        h.finish()
+    }))
+}
+
 const ID_MAGIC: &[u8] = b"DMID1;";
 /// Bytes the wire-id header adds in front of a framed payload.
 pub const ID_HEADER_LEN: usize = 6 + 16 + 16 + 1;
@@ -286,39 +299,6 @@ pub fn parse_payload(payload: &[u8]) -> (Option<MessageId>, &[u8]) {
     ) {
         (Ok(origin), Ok(seq)) => (Some(MessageId { origin, seq }), &payload[ID_HEADER_LEN..]),
         _ => (None, payload),
-    }
-}
-
-/// Sliding duplicate-suppression window (mirrors the simulator client's
-/// scheme): a set for O(1) membership plus FIFO eviction order. Shared
-/// with the routed tier: the router and the dispatcher sidecar keep
-/// their own windows over the same wire ids.
-pub(crate) struct Dedup {
-    seen: HashSet<MessageId>,
-    order: VecDeque<MessageId>,
-}
-
-impl Dedup {
-    pub(crate) fn new() -> Dedup {
-        Dedup {
-            seen: HashSet::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    /// Returns `true` when `id` is new (and records it), `false` for a
-    /// duplicate inside the window.
-    pub(crate) fn insert(&mut self, id: MessageId, cap: usize) -> bool {
-        if !self.seen.insert(id) {
-            return false;
-        }
-        self.order.push_back(id);
-        while self.order.len() > cap.max(1) {
-            if let Some(evicted) = self.order.pop_front() {
-                self.seen.remove(&evicted);
-            }
-        }
-        true
     }
 }
 
@@ -450,10 +430,7 @@ impl TcpPubSubClient {
         });
         let (msg_tx, msg_rx) = mpsc::channel();
         let (event_tx, event_rx) = mpsc::channel();
-        let mut rng = match config.seed {
-            Some(seed) => SplitMix64::new(seed),
-            None => SplitMix64::from_entropy(),
-        };
+        let mut rng = seeded_rng(config.seed);
         let origin = rng.next_u64();
         let worker = Worker {
             addr,
@@ -499,8 +476,9 @@ impl TcpPubSubClient {
 
     /// Like [`Self::subscribe`], but asks the broker to first replay
     /// its retained frames of `channel` starting at sequence `from`
-    /// (the routed tier passes 0 after a `<switch>` migration so the
-    /// new home broker's whole post-migration suffix replays). The
+    /// (after a `<switch>` migration the routed tier passes 0 on a
+    /// broker it never took the channel from, so the new home's whole
+    /// post-migration suffix replays). The
     /// replay ends with a [`ClientEvent::Resumed`], or surfaces a
     /// [`ClientEvent::Gap`] when `from` is no longer retained.
     pub fn subscribe_from(&self, channel: &str, from: u64) {
@@ -642,13 +620,13 @@ struct Worker {
     shared: Arc<ClientShared>,
     messages: mpsc::Sender<Message>,
     events: mpsc::Sender<ClientEvent>,
-    rng: SplitMix64,
+    rng: SimRng,
     origin: u64,
     next_seq: u64,
     desired: BTreeMap<String, ResumeState>,
     pending: VecDeque<PendingPub>,
     unacked: VecDeque<PendingPub>,
-    dedup: Dedup,
+    dedup: Dedup<MessageId>,
 }
 
 impl Worker {
@@ -1091,21 +1069,5 @@ mod tests {
             ahead.subscribe_arg(true, "ch"),
             format!("DMSEQ1;{:016x};ch", 42)
         );
-    }
-
-    #[test]
-    fn dedup_window_is_sliding_and_bounded() {
-        let mut dedup = Dedup::new();
-        let mid = |seq| MessageId { origin: 1, seq };
-        for seq in 0..10 {
-            assert!(dedup.insert(mid(seq), 4));
-        }
-        assert_eq!(dedup.seen.len(), 4);
-        // Recent ids are suppressed …
-        for seq in 6..10 {
-            assert!(!dedup.insert(mid(seq), 4));
-        }
-        // … while ids past the window are (correctly) fresh again.
-        assert!(dedup.insert(mid(0), 4));
     }
 }

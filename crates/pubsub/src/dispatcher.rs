@@ -50,8 +50,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::client::{frame_payload, ClientConfig, ClientEvent, Dedup, TcpPubSubClient};
+use crate::client::{frame_payload, ClientConfig, ClientEvent, MessageId, TcpPubSubClient};
 use crate::control::{control_channel, install_channel, ControlFrame, InstallFrame, Quarantine};
+use crate::dedup::Dedup;
 use crate::ids::{PlanId, ServerId};
 use crate::plan::ChannelMapping;
 
@@ -260,7 +261,7 @@ struct Pump {
     watch: Option<TcpPubSubClient>,
     peers: HashMap<usize, TcpPubSubClient>,
     channels: HashMap<String, ChannelState>,
-    dedup: Dedup,
+    dedup: Dedup<MessageId>,
     events: mpsc::Sender<SidecarEvent>,
 }
 

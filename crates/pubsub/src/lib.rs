@@ -34,6 +34,7 @@ mod channel;
 pub mod chaos;
 pub mod client;
 pub mod control;
+mod dedup;
 pub mod dispatcher;
 pub mod hashing;
 mod ids;
@@ -42,7 +43,6 @@ mod outbox;
 pub mod plan;
 mod reactor;
 pub mod resp;
-mod rng;
 pub mod router;
 mod seq;
 mod server;
@@ -67,6 +67,7 @@ pub use control::{
     channel_id_of, control_channel, install_channel, lla_channel, ControlFrame, InstallFrame,
     Quarantine,
 };
+pub use dedup::Dedup;
 pub use dispatcher::{ChannelChange, DispatcherSidecar, SidecarConfig, SidecarEvent, SidecarStats};
 pub use hashing::{Ring, DEFAULT_VNODES};
 pub use ids::{PlanId, ServerId};

@@ -65,16 +65,18 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dynamoth_sim::SimRng;
 use parking_lot::Mutex;
 
 use crate::client::{
-    frame_payload, ClientConfig, ClientEvent, Dedup, GapReason, Message, MessageId, TcpPubSubClient,
+    frame_payload, seeded_rng, ClientConfig, ClientEvent, GapReason, Message, MessageId,
+    TcpPubSubClient,
 };
 use crate::control::{channel_id_of, control_channel, ControlFrame};
+use crate::dedup::Dedup;
 use crate::hashing::{Ring, DEFAULT_VNODES};
 use crate::ids::{PlanId, ServerId};
 use crate::plan::ChannelMapping;
-use crate::rng::SplitMix64;
 
 /// Tuning knobs of a [`RoutedClient`].
 #[derive(Debug, Clone)]
@@ -203,7 +205,12 @@ struct Routing {
     pending_unsubs: Vec<(Instant, usize, String)>,
     /// Per-broker liveness, indexed by directory position.
     health: Vec<BrokerHealth>,
-    rng: SplitMix64,
+    /// Highest broker sequence taken per channel, indexed by directory
+    /// position: a channel re-entering a broker it lived on resumes
+    /// just past it instead of replaying that broker's whole retention
+    /// ring, whose older frames may lie beyond every dedup window.
+    high_water: Vec<HashMap<String, u64>>,
+    rng: SimRng,
 }
 
 impl Routing {
@@ -215,6 +222,25 @@ impl Routing {
             .filter(|(_, h)| h.dead)
             .map(|(i, _)| ServerId::from_index(i))
             .collect()
+    }
+
+    /// Where a subscription entering broker `idx` starts: just past the
+    /// highest sequence this router took from it, or 0 for a channel it
+    /// never took from that broker (the whole post-migration suffix).
+    fn entry_seq(&self, idx: usize, channel: &str) -> u64 {
+        self.high_water[idx].get(channel).map_or(0, |&h| h + 1)
+    }
+
+    /// Raises the (broker, channel) mark to `seq`; allocates only for
+    /// a channel's first frame from that broker, not per message.
+    fn note_seq(&mut self, idx: usize, channel: &str, seq: u64) {
+        let marks = &mut self.high_water[idx];
+        match marks.get_mut(channel) {
+            Some(h) => *h = (*h).max(seq),
+            None => {
+                marks.insert(channel.to_owned(), seq);
+            }
+        }
     }
 }
 
@@ -243,17 +269,11 @@ impl RoutedClient {
         assert!(!directory.is_empty(), "directory needs at least one broker");
         let servers: Vec<ServerId> = (0..directory.len()).map(ServerId::from_index).collect();
         let ring = Ring::new(&servers, cfg.vnodes);
-        let rng = match cfg.seed {
-            Some(seed) => SplitMix64::new(seed),
-            None => SplitMix64::from_entropy(),
-        };
+        let rng = seeded_rng(cfg.seed);
         // A namespace of its own, decorrelated from every per-broker
         // client origin (those mix the broker index in), so replicated
         // fan-out ids collide with nobody.
-        let pub_origin = match cfg.seed {
-            Some(seed) => SplitMix64::new(seed ^ 0xD1B5_4A32_D192_ED03).next_u64(),
-            None => SplitMix64::from_entropy().next_u64(),
-        };
+        let pub_origin = seeded_rng(cfg.seed.map(|seed| seed ^ 0xD1B5_4A32_D192_ED03)).next_u64();
         let shared = Arc::new(RouterShared {
             running: AtomicBool::new(true),
             pub_origin,
@@ -274,6 +294,7 @@ impl RoutedClient {
             health: (0..directory.len())
                 .map(|_| BrokerHealth::default())
                 .collect(),
+            high_water: vec![HashMap::new(); directory.len()],
             rng,
         }));
         let (msg_tx, msg_rx) = mpsc::channel();
@@ -548,7 +569,7 @@ impl RoutedClient {
                     while let Some(msg) = client.try_message() {
                         got_data = true;
                         pump_handle(
-                            &shared, &clients, &routing, &directory, &cfg, &ring, &mut dedup,
+                            &shared, &clients, &routing, &directory, &cfg, &ring, &mut dedup, idx,
                             &client, msg, &msg_tx, &event_tx,
                         );
                     }
@@ -592,16 +613,15 @@ fn connect_broker(
     // Decorrelate per-broker client seeds: identical seeds would mean
     // identical origins, colliding wire-id sequence spaces and a shared
     // control channel across connections.
-    cfg.seed = seed.map(|s| {
-        let mut mixer = SplitMix64::new(s ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        mixer.next_u64()
-    });
+    cfg.seed =
+        seed.map(|s| SimRng::new(s ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64());
     TcpPubSubClient::connect_addr(directory[idx], cfg)
 }
 
-/// Handles one delivered frame inside the pump thread: control frames
-/// update the local plan, application messages pass the router-level
-/// dedup window and surface to the caller.
+/// Handles one frame delivered by broker `idx` inside the pump thread:
+/// its broker sequence raises the (broker, channel) high-water mark,
+/// control frames update the local plan, application messages pass the
+/// router-level dedup window and surface to the caller.
 #[allow(clippy::too_many_arguments)]
 fn pump_handle(
     shared: &Arc<RouterShared>,
@@ -610,12 +630,16 @@ fn pump_handle(
     directory: &[SocketAddr],
     cfg: &RouterConfig,
     ring: &Ring,
-    dedup: &mut Dedup,
+    dedup: &mut Dedup<MessageId>,
+    idx: usize,
     via: &Arc<TcpPubSubClient>,
     msg: Message,
     msg_tx: &mpsc::Sender<Message>,
     event_tx: &mpsc::Sender<RouterEvent>,
 ) {
+    if let Some(seq) = msg.seq {
+        routing.lock().note_seq(idx, &msg.channel, seq);
+    }
     let on_control_channel = msg.channel == control_channel(via.origin());
     if let Some(frame) = ControlFrame::decode(&msg.payload) {
         let applies = match &frame {
@@ -734,19 +758,19 @@ fn apply_control(
             }
         }
     };
-    // Brokers entering the target set are subscribed *from sequence 0*:
-    // the channel's sequence space on its new home starts at the
-    // migration, so the replay is exactly the post-migration suffix —
-    // which is how a client that was offline across the `<switch>`
-    // still recovers everything published to the new home while it was
-    // away. Frames the client did see (live before the outage, or via
-    // the sidecar's forwarding window) carry their original wire ids
-    // and dedup away. A channel returning to a broker it once lived on
-    // may replay pre-migration history too; those re-deliveries are
-    // bounded by the retention ring and largely absorbed by the dedup
-    // windows — the trade for never losing the suffix silently.
+    // Brokers entering the target set replay from `entry_seq`. On a
+    // broker this router never took the channel from that is sequence
+    // 0: the channel's sequence space there starts at the migration, so
+    // the replay is exactly the post-migration suffix — which is how a
+    // client that was offline across the `<switch>` still recovers
+    // everything published to the new home while it was away. Frames
+    // the client did see (via the sidecar's forwarding window) carry
+    // their original wire ids and dedup away. A channel returning to a
+    // broker it once lived on resumes just past the frames already
+    // taken there, so its pre-migration history is not replayed.
     for &idx in wanted.difference(&current) {
-        subscribe_via(clients, directory, cfg, idx, &channel, Some(0));
+        let from = r.entry_seq(idx, &channel);
+        subscribe_via(clients, directory, cfg, idx, &channel, Some(from));
     }
     // Superseded brokers are not unsubscribed yet: the new subscriptions
     // may ride connections still being established, so the old ones
@@ -879,6 +903,14 @@ fn note_event(routing: &Arc<Mutex<Routing>>, idx: usize, event: &ClientEvent) {
             h.down_since = None;
             h.dead = false;
         }
+        // The broker restarted under us: its old sequences are gone.
+        ClientEvent::Gap {
+            channel,
+            reason: GapReason::Restart,
+            ..
+        } => {
+            r.high_water[idx].remove(channel);
+        }
         _ => {}
     }
 }
@@ -984,6 +1016,8 @@ fn declare_dead(
         h.dead = true;
         h.down_since = None;
         shared.deaths.fetch_add(1, Ordering::Relaxed);
+        // A revived broker is a new incarnation with fresh sequences.
+        r.high_water[idx].clear();
         let dead = r.dead_servers();
         // Take the corpse's client out of the map: stops its reconnect
         // spin and frees its queued publications for rescue below. The
@@ -1017,7 +1051,15 @@ fn declare_dead(
             // Switch/Moved frames override it the moment they arrive.
             r.local_plan
                 .insert(channel.clone(), (ChannelMapping::Single(target), PlanId(0)));
-            subscribe_via(clients, directory, cfg, target.index(), &channel, Some(0));
+            let from = r.entry_seq(target.index(), &channel);
+            subscribe_via(
+                clients,
+                directory,
+                cfg,
+                target.index(),
+                &channel,
+                Some(from),
+            );
             shared.repoints.fetch_add(1, Ordering::Relaxed);
             // Sequences are per-broker-incarnation: continuity with the
             // dead home's stream is impossible, so surface the

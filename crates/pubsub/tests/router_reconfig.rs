@@ -349,3 +349,193 @@ fn hot_channel_migrates_across_live_cluster_exactly_once() {
         }
     });
 }
+
+/// Publications of the switch-back test and their exactly-once
+/// accounting.
+#[derive(Default)]
+struct Traffic {
+    counts: HashMap<String, usize>,
+    ids: HashSet<MessageId>,
+    published: Vec<String>,
+}
+
+impl Traffic {
+    fn publish(&mut self, publisher: &RoutedClient) {
+        let body = format!("q-{}", self.published.len());
+        publisher.publish(CH, body.as_bytes());
+        self.published.push(body);
+    }
+
+    fn pump(&mut self, sub: &RoutedClient) {
+        pump_deliveries(sub, &mut self.counts, &mut self.ids);
+    }
+
+    fn all_delivered(&mut self, sub: &RoutedClient) {
+        let want = self.published.clone();
+        wait_until("deliveries", Duration::from_secs(30), || {
+            self.pump(sub);
+            want.iter().all(|b| self.counts.contains_key(b))
+        });
+    }
+}
+
+/// Moves `CH` from `Single(from)` to `Single(to)` under `plan`: the
+/// new-home sidecar first (its watch confirmed), then the old home,
+/// then traffic until both routers hold the new mapping.
+#[allow(clippy::too_many_arguments)]
+fn move_channel(
+    brokers: &[TcpBroker],
+    sidecars: &[DispatcherSidecar],
+    publisher: &RoutedClient,
+    sub: &RoutedClient,
+    traffic: &mut Traffic,
+    from: usize,
+    to: usize,
+    plan: PlanId,
+) {
+    let change = ChannelChange {
+        channel: CH.to_owned(),
+        old: ChannelMapping::Single(sid(from)),
+        new: ChannelMapping::Single(sid(to)),
+    };
+    let before = brokers[to].channel_subscribers(CH);
+    sidecars[to].install(change.clone(), plan);
+    wait_until("new-home watch", Duration::from_secs(10), || {
+        brokers[to].channel_subscribers(CH) > before
+    });
+    let before = brokers[from].channel_subscribers(CH);
+    sidecars[from].install(change.clone(), plan);
+    wait_until("old-home watch", Duration::from_secs(10), || {
+        brokers[from].channel_subscribers(CH) > before
+    });
+    let target = Some((ChannelMapping::Single(sid(to)), plan));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while publisher.local_mapping(CH) != target || sub.local_mapping(CH) != target {
+        assert!(Instant::now() < deadline, "{plan:?} never converged");
+        traffic.publish(publisher);
+        sidecars[to].install(change.clone(), plan);
+        sidecars[from].install(change.clone(), plan);
+        std::thread::sleep(Duration::from_millis(25));
+        traffic.pump(sub);
+    }
+}
+
+/// Regression: a channel moved A→B and later back to A must not replay
+/// A's retained history. The router used to re-enter every broker from
+/// sequence 0, so once the switch-grace unsubscribe had run, the move
+/// back replayed A's whole retention ring — and with dedup windows
+/// smaller than that history, old frames reached the application twice.
+#[test]
+fn switching_back_to_a_former_home_delivers_nothing_twice() {
+    with_deadline(120, || {
+        let seed = seed();
+        let brokers: Vec<TcpBroker> = (0..2)
+            .map(|_| TcpBroker::bind("127.0.0.1:0").expect("bind broker"))
+            .collect();
+        let addrs: Vec<SocketAddr> = brokers.iter().map(|b| b.local_addr()).collect();
+        let sidecars: Vec<DispatcherSidecar> = (0..2)
+            .map(|i| {
+                DispatcherSidecar::start(
+                    sid(i),
+                    addrs.clone(),
+                    SidecarConfig {
+                        ttl: Duration::from_millis(1500),
+                        ..sidecar_cfg(seed ^ (0x30 + i as u64))
+                    },
+                )
+            })
+            .collect();
+        // Every dedup window on the subscriber's path is far smaller
+        // than the history A retains: only the resume point can keep
+        // that history from being delivered again.
+        let window = 16;
+        let sub = RoutedClient::connect(
+            addrs.clone(),
+            RouterConfig {
+                dedup_window: window,
+                client: ClientConfig {
+                    dedup_window: window,
+                    ..chaos_client_cfg(seed ^ 1)
+                },
+                ..router_cfg(seed ^ 1)
+            },
+        );
+        let publisher = RoutedClient::connect(addrs.clone(), router_cfg(seed ^ 2));
+        let a = Ring::new(&[sid(0), sid(1)], DEFAULT_VNODES)
+            .server_for(channel_id_of(CH))
+            .index();
+        let b = 1 - a;
+
+        sub.subscribe(CH);
+        wait_until("initial subscription", Duration::from_secs(10), || {
+            brokers[a].channel_subscribers(CH) >= 1
+        });
+        let mut traffic = Traffic::default();
+        for _ in 0..100 {
+            traffic.publish(&publisher);
+        }
+        traffic.all_delivered(&sub);
+
+        // A → B, then let the switch grace and the forwarding TTLs run
+        // out so nothing on A is subscribed to the channel any more.
+        move_channel(
+            &brokers,
+            &sidecars,
+            &publisher,
+            &sub,
+            &mut traffic,
+            a,
+            b,
+            PlanId(1),
+        );
+        wait_until("A left behind", Duration::from_secs(20), || {
+            traffic.pump(&sub);
+            brokers[a].channel_subscribers(CH) == 0
+                && sidecars.iter().all(|s| s.stats().active_channels == 0)
+        });
+        assert!(brokers[a].channel_retention(CH).0 > 4 * window);
+        for _ in 0..2 * window {
+            traffic.publish(&publisher);
+        }
+        traffic.all_delivered(&sub);
+
+        // B → A: the router re-enters A where it left off.
+        move_channel(
+            &brokers,
+            &sidecars,
+            &publisher,
+            &sub,
+            &mut traffic,
+            b,
+            a,
+            PlanId(2),
+        );
+        for _ in 0..10 {
+            traffic.publish(&publisher);
+        }
+        traffic.all_delivered(&sub);
+        let quiet = Instant::now() + Duration::from_millis(1500);
+        while Instant::now() < quiet {
+            traffic.pump(&sub);
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        assert_eq!(traffic.counts.len(), traffic.published.len());
+        for body in &traffic.published {
+            assert_eq!(
+                traffic.counts.get(body).copied(),
+                Some(1),
+                "{body} was not delivered exactly once"
+            );
+        }
+
+        sub.shutdown();
+        publisher.shutdown();
+        for sidecar in sidecars {
+            sidecar.shutdown();
+        }
+        for broker in brokers {
+            broker.shutdown();
+        }
+    });
+}
