@@ -35,20 +35,30 @@
 //!   `Dropped` / `GaveUp`), so callers see degradation instead of
 //!   silence.
 //!
-//! The client is plain blocking std networking on one worker thread —
-//! the same substrate as the broker — and interoperates with any RESP
-//! pub/sub server: payloads published by id-unaware clients are
-//! delivered verbatim (no id, no dedup).
+//! - **Wake on work**: the worker thread sleeps in an `epoll` poller
+//!   (the vendored `mio` shim the broker's reactor uses) on its socket
+//!   and a waker. Deliveries are read when they arrive; subscribe,
+//!   unsubscribe, [`TcpPubSubClient::take_unsent`] and shutdown act at
+//!   once. Publications are batched: everything queued goes out in one
+//!   `write` per flush, on a cadence of [`ClientConfig::tick`]. A
+//!   publish on a connection that has just (re)connected or has been
+//!   quiet for a full tick flushes at once; one issued inside the tick
+//!   after a flush waits for the next slot without waking the worker.
+//!
+//! The client interoperates with any RESP pub/sub server: payloads
+//! published by id-unaware clients are delivered verbatim (no id, no
+//! dedup).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dynamoth_sim::SimRng;
+use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 
 use crate::dedup::Dedup;
@@ -83,8 +93,11 @@ pub struct ClientConfig {
     /// Queued publications (pending + unacknowledged) before the oldest
     /// is dropped with [`DropCause::QueueFull`].
     pub max_pending_publishes: usize,
-    /// Worker wake-up granularity: command latency, heartbeat check
-    /// resolution and shutdown latency are all bounded by one tick.
+    /// Publish cadence: queued publications go out in one `write` per
+    /// flush, at most one flush per tick. A publish on a connection
+    /// that has just (re)connected or has been quiet for a full tick
+    /// flushes at once; later ones wait for the next slot. Deliveries,
+    /// subscribe, unsubscribe and shutdown never wait for it.
     pub tick: Duration,
     /// Seed for the jitter PRNG and the origin id; `None` uses OS
     /// entropy. Fixing it makes reconnect timing reproducible in tests.
@@ -348,9 +361,65 @@ impl ResumeState {
     }
 }
 
+/// Token of the worker's broker socket.
+const SOCKET: Token = Token(0);
+/// Token of the worker's waker.
+const WAKE: Token = Token(1);
+/// Bytes taken from the socket per readiness event.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Commands from the caller, plus the worker's sleep state.
+struct Inbox {
+    cmds: VecDeque<Cmd>,
+    /// True while the worker sleeps with no flush slot pending: the
+    /// connection has been quiet for a full tick, so the next publish
+    /// must wake it to flush at once. While false, a publish rides the
+    /// slot the worker already wakes for.
+    idle: bool,
+}
+
+/// Wakes one thread that drains several clients (the router and
+/// sidecar pumps). A client's worker rings it after each pass of its
+/// loop that delivered messages or emitted events; the drainer sleeps
+/// in [`Doorbell::wait_until`] until then or its next housekeeping
+/// deadline.
+#[derive(Default)]
+pub(crate) struct Doorbell {
+    rung: std::sync::Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Doorbell {
+    /// Marks work as pending and wakes the waiter, if one sleeps.
+    pub(crate) fn ring(&self) {
+        let mut rung = self.rung.lock().unwrap_or_else(|p| p.into_inner());
+        if !std::mem::replace(&mut *rung, true) {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Sleeps until the bell rings or `deadline` passes, then clears it.
+    pub(crate) fn wait_until(&self, deadline: Instant) {
+        let mut rung = self.rung.lock().unwrap_or_else(|p| p.into_inner());
+        while !*rung {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            rung = match self.cv.wait_timeout(rung, deadline - now) {
+                Ok((g, _)) => g,
+                Err(p) => p.into_inner().0,
+            };
+        }
+        *rung = false;
+    }
+}
+
 struct ClientShared {
     running: AtomicBool,
-    cmds: Mutex<VecDeque<Cmd>>,
+    inbox: Mutex<Inbox>,
+    /// The worker's waker, set once its poller exists.
+    waker: OnceLock<Waker>,
     /// `true` once the worker thread has exited (gave up or shut down);
     /// after that, commands are never processed again.
     exited: AtomicBool,
@@ -358,6 +427,33 @@ struct ClientShared {
     /// [`TcpPubSubClient::take_unsent`] can still rescue them from a
     /// client whose worker is gone.
     stranded: Mutex<Vec<(String, Vec<u8>)>>,
+}
+
+impl ClientShared {
+    fn wake(&self) {
+        if let Some(waker) = self.waker.get() {
+            let _ = waker.wake();
+        }
+    }
+
+    /// Queues a command the worker acts on at once.
+    fn command(&self, cmd: Cmd) {
+        self.inbox.lock().cmds.push_back(cmd);
+        self.wake();
+    }
+
+    /// Queues a publication for the next flush slot, waking the worker
+    /// only when it is idle (no slot pending).
+    fn publication(&self, cmd: Cmd) {
+        let idle = {
+            let mut inbox = self.inbox.lock();
+            inbox.cmds.push_back(cmd);
+            std::mem::replace(&mut inbox.idle, false)
+        };
+        if idle {
+            self.wake();
+        }
+    }
 }
 
 /// A resilient RESP pub/sub client (see the module docs for the failure
@@ -422,9 +518,23 @@ impl TcpPubSubClient {
     /// temporarily unreachable peer (dispatcher sidecars, the live
     /// balancer).
     pub fn connect_addr(addr: SocketAddr, config: ClientConfig) -> TcpPubSubClient {
+        TcpPubSubClient::connect_with_doorbell(addr, config, None)
+    }
+
+    /// [`Self::connect_addr`], ringing `doorbell` after every batch of
+    /// the worker that delivered messages or emitted events.
+    pub(crate) fn connect_with_doorbell(
+        addr: SocketAddr,
+        config: ClientConfig,
+        doorbell: Option<Arc<Doorbell>>,
+    ) -> TcpPubSubClient {
         let shared = Arc::new(ClientShared {
             running: AtomicBool::new(true),
-            cmds: Mutex::new(VecDeque::new()),
+            inbox: Mutex::new(Inbox {
+                cmds: VecDeque::new(),
+                idle: false,
+            }),
+            waker: OnceLock::new(),
             exited: AtomicBool::new(false),
             stranded: Mutex::new(Vec::new()),
         });
@@ -445,6 +555,8 @@ impl TcpPubSubClient {
             pending: VecDeque::new(),
             unacked: VecDeque::new(),
             dedup: Dedup::new(),
+            doorbell,
+            produced: false,
         };
         let handle = std::thread::spawn(move || worker.run());
         TcpPubSubClient {
@@ -468,7 +580,7 @@ impl TcpPubSubClient {
     /// [`ClientConfig::resume`] on, delivery starts live and every
     /// later reconnect resumes from the highest sequence seen.
     pub fn subscribe(&self, channel: &str) {
-        self.shared.cmds.lock().push_back(Cmd::Subscribe {
+        self.shared.command(Cmd::Subscribe {
             channel: channel.to_owned(),
             from: None,
         });
@@ -482,7 +594,7 @@ impl TcpPubSubClient {
     /// replay ends with a [`ClientEvent::Resumed`], or surfaces a
     /// [`ClientEvent::Gap`] when `from` is no longer retained.
     pub fn subscribe_from(&self, channel: &str, from: u64) {
-        self.shared.cmds.lock().push_back(Cmd::Subscribe {
+        self.shared.command(Cmd::Subscribe {
             channel: channel.to_owned(),
             from: Some(from),
         });
@@ -490,10 +602,7 @@ impl TcpPubSubClient {
 
     /// Removes `channel` from the desired subscription set.
     pub fn unsubscribe(&self, channel: &str) {
-        self.shared
-            .cmds
-            .lock()
-            .push_back(Cmd::Unsubscribe(channel.to_owned()));
+        self.shared.command(Cmd::Unsubscribe(channel.to_owned()));
     }
 
     /// Publishes `body` on `channel` with a fresh globally unique wire
@@ -501,7 +610,7 @@ impl TcpPubSubClient {
     /// acknowledged, and eventually dropped (with a
     /// [`ClientEvent::Dropped`]) if the broker never accepts it.
     pub fn publish(&self, channel: &str, body: &[u8]) {
-        self.shared.cmds.lock().push_back(Cmd::Publish {
+        self.shared.publication(Cmd::Publish {
             channel: channel.to_owned(),
             body: body.to_vec(),
         });
@@ -513,7 +622,7 @@ impl TcpPubSubClient {
     /// re-publishing a wrong-server publication keeps the original id,
     /// so receive-side dedup windows still suppress duplicates.
     pub fn publish_raw(&self, channel: &str, payload: &[u8]) {
-        self.shared.cmds.lock().push_back(Cmd::PublishRaw {
+        self.shared.publication(Cmd::PublishRaw {
             channel: channel.to_owned(),
             payload: payload.to_vec(),
         });
@@ -532,7 +641,7 @@ impl TcpPubSubClient {
     /// within `timeout` yields an empty result.
     pub fn take_unsent(&self, timeout: Duration) -> Vec<(String, Vec<u8>)> {
         let (tx, rx) = mpsc::channel();
-        self.shared.cmds.lock().push_back(Cmd::TakeUnsent(tx));
+        self.shared.command(Cmd::TakeUnsent(tx));
         // A worker that already gave up deposited its queue instead;
         // only wait on the command round-trip while the worker lives.
         let mut out = std::mem::take(&mut *self.shared.stranded.lock());
@@ -570,6 +679,7 @@ impl TcpPubSubClient {
 
     fn stop(&mut self) {
         self.shared.running.store(false, Ordering::SeqCst);
+        self.shared.wake();
         if let Some(handle) = self.worker.take() {
             let _ = handle.join();
         }
@@ -600,17 +710,16 @@ struct PendingPub {
 }
 
 impl PendingPub {
-    fn wire(&self) -> Vec<u8> {
-        let mut wire = Vec::new();
+    /// Appends this publication's `PUBLISH` frame to `wire`.
+    fn encode_into(&self, wire: &mut Vec<u8>) {
         resp::encode(
             &Value::array(vec![
                 Value::bulk("PUBLISH"),
                 Value::bulk(self.channel.as_str()),
                 Value::Bulk(Some(self.framed.clone())),
             ]),
-            &mut wire,
+            wire,
         );
-        wire
     }
 }
 
@@ -627,6 +736,10 @@ struct Worker {
     pending: VecDeque<PendingPub>,
     unacked: VecDeque<PendingPub>,
     dedup: Dedup<MessageId>,
+    /// Rung after each batch that delivered or emitted something.
+    doorbell: Option<Arc<Doorbell>>,
+    /// Something was delivered or emitted since the doorbell last rang.
+    produced: bool,
 }
 
 impl Worker {
@@ -634,19 +747,52 @@ impl Worker {
         self.shared.running.load(Ordering::SeqCst)
     }
 
-    fn emit(&self, event: ClientEvent) {
+    fn emit(&mut self, event: ClientEvent) {
         let _ = self.events.send(event);
+        self.produced = true;
+    }
+
+    fn deliver(&mut self, message: Message) {
+        let _ = self.messages.send(message);
+        self.produced = true;
+    }
+
+    /// Ends a batch: rings the doorbell if the batch produced anything.
+    fn ring(&mut self) {
+        if std::mem::take(&mut self.produced) {
+            if let Some(bell) = &self.doorbell {
+                bell.ring();
+            }
+        }
+    }
+
+    /// The worker's poller, created on first use and kept for the
+    /// worker's life; its waker is published to the caller side.
+    fn open_poll(&self, poll: &mut Option<Poll>) -> std::io::Result<()> {
+        if poll.is_none() {
+            let fresh = Poll::new()?;
+            let waker = Waker::new(fresh.registry(), WAKE)?;
+            let _ = self.shared.waker.set(waker);
+            *poll = Some(fresh);
+        }
+        Ok(())
     }
 
     fn run(mut self) {
+        let mut poll: Option<Poll> = None;
         // Failed attempts since the last connection that received data.
         let mut attempts: u32 = 0;
         while self.running() {
-            match TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout) {
-                Ok(stream) => {
+            // A poller that cannot be created (fd exhaustion) fails the
+            // attempt exactly like a refused connect.
+            let connected = self
+                .open_poll(&mut poll)
+                .and_then(|()| TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout));
+            match (connected, poll.as_mut()) {
+                (Ok(stream), Some(p)) => {
                     attempts += 1;
                     self.emit(ClientEvent::Connected { attempt: attempts });
-                    let got_data = self.session(stream);
+                    let got_data = self.session(stream, p);
                     // Whatever was in flight when the session died goes
                     // back to the head of the queue, oldest first.
                     while let Some(p) = self.unacked.pop_back() {
@@ -656,7 +802,7 @@ impl Worker {
                         attempts = 0;
                     }
                 }
-                Err(_) => {
+                _ => {
                     attempts += 1;
                     // A refused/timed-out connect is down-ness evidence
                     // too: without this a broker that died *before* the
@@ -667,6 +813,7 @@ impl Worker {
                     });
                 }
             }
+            self.ring();
             if !self.running() {
                 break;
             }
@@ -683,10 +830,11 @@ impl Worker {
                         .collect();
                     *self.shared.stranded.lock() = stranded;
                     self.emit(ClientEvent::GaveUp);
+                    self.ring();
                     break;
                 }
             }
-            self.backoff_sleep(attempts);
+            self.backoff_sleep(attempts, poll.as_mut());
         }
         self.shared.exited.store(true, Ordering::SeqCst);
     }
@@ -694,9 +842,30 @@ impl Worker {
     /// Runs one connected session; returns whether any bytes were
     /// received (which is what resets the backoff counter — a half-open
     /// accept that never speaks does not count as progress).
-    fn session(&mut self, mut stream: TcpStream) -> bool {
+    fn session(&mut self, mut stream: TcpStream, poll: &mut Poll) -> bool {
         let _ = stream.set_nodelay(true);
+        // Reads only follow readiness; the timeout merely bounds one
+        // that a spurious wake-up might start.
         let _ = stream.set_read_timeout(Some(self.cfg.tick));
+        if poll
+            .registry()
+            .register(&stream, SOCKET, Interest::READABLE)
+            .is_err()
+        {
+            self.emit(ClientEvent::Disconnected {
+                reason: DisconnectReason::Io,
+            });
+            return false;
+        }
+        let got_data = self.serve(&mut stream, poll);
+        let _ = poll.registry().deregister(&stream);
+        got_data
+    }
+
+    /// The session's event loop: sleep in the poller until the socket,
+    /// a caller or the next deadline (heartbeat, liveness, flush slot)
+    /// has work, then do it.
+    fn serve(&mut self, stream: &mut TcpStream, poll: &mut Poll) -> bool {
         // Transparent re-subscribe before anything else, resuming each
         // channel from its high-water sequence.
         if !self.desired.is_empty() {
@@ -727,49 +896,57 @@ impl Worker {
             .max(Duration::from_millis(1));
         let mut last_rx = Instant::now();
         let mut last_ping = Instant::now();
+        // `None` until the first flush: a fresh connection flushes its
+        // queue at once.
+        let mut last_flush: Option<Instant> = None;
         let mut got_data = false;
+        let mut readable = false;
+        let mut events = Events::with_capacity(8);
         let mut buf: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 4096];
+        let mut chunk = vec![0u8; READ_CHUNK];
         loop {
-            if !self.running() {
-                return got_data;
-            }
             let reason = 'fail: {
-                if !self.apply_commands(Some(&mut stream)) || !self.send_pending(&mut stream) {
-                    break 'fail Some(DisconnectReason::Io);
-                }
-                match stream.read(&mut chunk) {
-                    Ok(0) => break 'fail Some(DisconnectReason::ServerClosed),
-                    Ok(n) => {
-                        last_rx = Instant::now();
-                        got_data = true;
-                        buf.extend_from_slice(&chunk[..n]);
-                        loop {
-                            match resp::decode(&buf) {
-                                Ok(Some((value, used))) => {
-                                    buf.drain(..used);
-                                    self.handle_frame(value);
-                                }
-                                Ok(None) => break,
-                                Err(_) => break 'fail Some(DisconnectReason::Protocol),
+                if readable {
+                    match stream.read(&mut chunk) {
+                        Ok(0) => break 'fail Some(DisconnectReason::ServerClosed),
+                        Ok(n) => {
+                            last_rx = Instant::now();
+                            got_data = true;
+                            buf.extend_from_slice(&chunk[..n]);
+                            if !self.decode_frames(&mut buf) {
+                                break 'fail Some(DisconnectReason::Protocol);
                             }
                         }
+                        Err(e)
+                            if matches!(
+                                e.kind(),
+                                ErrorKind::WouldBlock
+                                    | ErrorKind::TimedOut
+                                    | ErrorKind::Interrupted
+                            ) => {}
+                        Err(_) => break 'fail Some(DisconnectReason::Io),
                     }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => break 'fail Some(DisconnectReason::Io),
                 }
-                if last_rx.elapsed() > self.cfg.liveness_timeout {
+                if !self.apply_commands(Some(stream)) {
+                    break 'fail Some(DisconnectReason::Io);
+                }
+                let now = Instant::now();
+                if !self.pending.is_empty() && last_flush.is_none_or(|t| now >= t + self.cfg.tick) {
+                    if !self.flush(stream) {
+                        break 'fail Some(DisconnectReason::Io);
+                    }
+                    last_flush = Some(now);
+                }
+                if now >= last_rx + self.cfg.liveness_timeout {
                     break 'fail Some(DisconnectReason::LivenessTimeout);
                 }
-                if last_ping.elapsed() >= ping_every {
+                if now >= last_ping + ping_every {
                     let mut wire = Vec::new();
-                    resp::encode(&Value::array(vec![Value::bulk("PING")]), &mut wire);
+                    encode_command(&["PING"], &mut wire);
                     if stream.write_all(&wire).is_err() {
                         break 'fail Some(DisconnectReason::Io);
                     }
-                    last_ping = Instant::now();
+                    last_ping = now;
                 }
                 None
             };
@@ -777,7 +954,57 @@ impl Worker {
                 self.emit(ClientEvent::Disconnected { reason });
                 return got_data;
             }
+            self.ring();
+            let now = Instant::now();
+            let mut deadline = (last_ping + ping_every).min(last_rx + self.cfg.liveness_timeout);
+            match last_flush.map(|t| t + self.cfg.tick) {
+                // Inside the tick after a flush: wake at the slot to
+                // collect the publications queued meanwhile.
+                Some(slot) if slot > now => deadline = deadline.min(slot),
+                // Quiet for a full tick: go idle, so the next publish
+                // wakes the worker and flushes at once.
+                _ => {
+                    let mut inbox = self.shared.inbox.lock();
+                    if inbox.cmds.is_empty() && self.pending.is_empty() {
+                        inbox.idle = true;
+                    } else {
+                        deadline = now;
+                    }
+                }
+            }
+            if !self.running() {
+                return got_data;
+            }
+            if poll
+                .poll(&mut events, Some(deadline.saturating_duration_since(now)))
+                .is_err()
+            {
+                self.emit(ClientEvent::Disconnected {
+                    reason: DisconnectReason::Io,
+                });
+                return got_data;
+            }
+            readable = events.iter().any(|ev| ev.token() == SOCKET);
+            self.shared.inbox.lock().idle = false;
         }
+    }
+
+    /// Interprets every complete frame in `buf`, then drops the bytes
+    /// consumed in one drain. Returns `false` on a protocol error.
+    fn decode_frames(&mut self, buf: &mut Vec<u8>) -> bool {
+        let mut pos = 0;
+        let ok = loop {
+            match resp::decode(&buf[pos..]) {
+                Ok(Some((value, used))) => {
+                    pos += used;
+                    self.handle_frame(value);
+                }
+                Ok(None) => break true,
+                Err(_) => break false,
+            }
+        };
+        buf.drain(..pos);
+        ok
     }
 
     /// Interprets one server frame.
@@ -846,7 +1073,7 @@ impl Worker {
                         return;
                     }
                 }
-                let _ = self.messages.send(Message {
+                self.deliver(Message {
                     channel,
                     payload: body.to_vec(),
                     id,
@@ -870,15 +1097,14 @@ impl Worker {
         }
     }
 
-    /// Applies queued caller commands; `stream` is `None` while
-    /// disconnected (the desired set and publish queue still update).
-    /// Returns `false` on a write error.
-    fn apply_commands(&mut self, mut stream: Option<&mut TcpStream>) -> bool {
-        loop {
-            let cmd = match self.shared.cmds.lock().pop_front() {
-                Some(c) => c,
-                None => return true,
-            };
+    /// Applies queued caller commands, writing their subscription
+    /// changes in one `write`; `stream` is `None` while disconnected
+    /// (the desired set and publish queue still update). Returns
+    /// `false` on a write error.
+    fn apply_commands(&mut self, stream: Option<&mut TcpStream>) -> bool {
+        let cmds = std::mem::take(&mut self.shared.inbox.lock().cmds);
+        let mut wire = Vec::new();
+        for cmd in cmds {
             match cmd {
                 Cmd::Subscribe { channel, from } => {
                     let is_new = !self.desired.contains_key(&channel);
@@ -891,20 +1117,12 @@ impl Worker {
                     // the registration and replays from the new point.
                     if is_new || from.is_some() {
                         let arg = st.subscribe_arg(self.cfg.resume, &channel);
-                        if let Some(s) = stream.as_deref_mut() {
-                            if !write_command(s, &["SUBSCRIBE", &arg]) {
-                                return false;
-                            }
-                        }
+                        encode_command(&["SUBSCRIBE", &arg], &mut wire);
                     }
                 }
                 Cmd::Unsubscribe(channel) => {
                     if self.desired.remove(&channel).is_some() {
-                        if let Some(s) = stream.as_deref_mut() {
-                            if !write_command(s, &["UNSUBSCRIBE", &channel]) {
-                                return false;
-                            }
-                        }
+                        encode_command(&["UNSUBSCRIBE", &channel], &mut wire);
                     }
                 }
                 Cmd::Publish { channel, body } => {
@@ -931,6 +1149,10 @@ impl Worker {
                 }
             }
         }
+        match stream {
+            Some(s) if !wire.is_empty() => s.write_all(&wire).is_ok(),
+            _ => true,
+        }
     }
 
     /// Queues one fully framed payload for publication, shedding the
@@ -952,9 +1174,11 @@ impl Worker {
         });
     }
 
-    /// Sends every queued publication, dropping those that exhausted
-    /// their attempts. Returns `false` on a write error.
-    fn send_pending(&mut self, stream: &mut TcpStream) -> bool {
+    /// Sends every queued publication in one `write`, dropping those
+    /// that exhausted their attempts. Returns `false` on a write error
+    /// (the publications stay in flight and are re-queued with it).
+    fn flush(&mut self, stream: &mut TcpStream) -> bool {
+        let mut wire = Vec::new();
         while let Some(mut p) = self.pending.pop_front() {
             if p.attempts >= self.cfg.publish_retries {
                 self.emit(ClientEvent::Dropped {
@@ -963,41 +1187,46 @@ impl Worker {
                 continue;
             }
             p.attempts += 1;
-            if stream.write_all(&p.wire()).is_err() {
-                self.pending.push_front(p);
-                return false;
-            }
+            p.encode_into(&mut wire);
             self.unacked.push_back(p);
         }
-        true
+        wire.is_empty() || stream.write_all(&wire).is_ok()
     }
 
     /// Sleeps for a full-jitter backoff delay, staying responsive to
-    /// shutdown and still absorbing caller commands.
-    fn backoff_sleep(&mut self, attempts: u32) {
+    /// shutdown and still absorbing caller commands. The poller (absent
+    /// only when it could not be created) wakes on every command that
+    /// acts at once.
+    fn backoff_sleep(&mut self, attempts: u32, mut poll: Option<&mut Poll>) {
         let base = self.cfg.reconnect_base.as_millis().max(1) as u64;
         let cap = self.cfg.reconnect_cap.as_millis().max(1) as u64;
         let exp = attempts.saturating_sub(1).min(16);
         let ceiling = cap.min(base.saturating_mul(1u64 << exp)).max(1);
         let delay = Duration::from_millis(1 + self.rng.next_below(ceiling));
         let deadline = Instant::now() + delay;
+        let mut events = Events::with_capacity(1);
         while self.running() {
             self.apply_commands(None);
             let now = Instant::now();
             if now >= deadline {
                 return;
             }
-            std::thread::sleep((deadline - now).min(Duration::from_millis(10)));
+            match poll.as_deref_mut() {
+                Some(p) => {
+                    let _ = p.poll(&mut events, Some(deadline - now));
+                }
+                None => std::thread::sleep((deadline - now).min(Duration::from_millis(10))),
+            }
         }
     }
 }
 
-/// Encodes and writes one command array; returns `false` on error.
-fn write_command(stream: &mut TcpStream, words: &[&str]) -> bool {
-    let value = Value::array(words.iter().map(|w| Value::bulk(*w)).collect());
-    let mut wire = Vec::new();
-    resp::encode(&value, &mut wire);
-    stream.write_all(&wire).is_ok()
+/// Appends one command array to `wire`.
+fn encode_command(words: &[&str], wire: &mut Vec<u8>) {
+    resp::encode(
+        &Value::array(words.iter().map(|w| Value::bulk(*w)).collect()),
+        wire,
+    );
 }
 
 #[cfg(test)]
@@ -1069,5 +1298,150 @@ mod tests {
             ahead.subscribe_arg(true, "ch"),
             format!("DMSEQ1;{:016x};ch", 42)
         );
+    }
+
+    /// Client tuning with a one-second publish cadence: long enough
+    /// that anything waiting for a tick shows up plainly.
+    fn slow_tick() -> ClientConfig {
+        ClientConfig {
+            tick: Duration::from_secs(1),
+            seed: Some(7),
+            ..ClientConfig::default()
+        }
+    }
+
+    fn await_connected(client: &TcpPubSubClient) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline {
+            if let Some(ClientEvent::Connected { .. }) =
+                client.event_timeout(Duration::from_millis(50))
+            {
+                return;
+            }
+        }
+        panic!("client never connected");
+    }
+
+    /// A plain listener standing in for a broker: it records which
+    /// read brought each `PUBLISH` and when.
+    struct RawPeer {
+        stream: TcpStream,
+        buf: Vec<u8>,
+        reads: usize,
+    }
+
+    impl RawPeer {
+        /// The next `PUBLISH` payload, with its arrival time and the
+        /// index of the read that brought it.
+        fn next_publish(&mut self) -> (Vec<u8>, Instant, usize) {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                while let Ok(Some((value, used))) = resp::decode(&self.buf) {
+                    self.buf.drain(..used);
+                    if let Value::Array(Some(items)) = value {
+                        if items.first() == Some(&Value::bulk("PUBLISH")) {
+                            if let Some(Value::Bulk(Some(payload))) = items.get(2) {
+                                return (payload.clone(), Instant::now(), self.reads);
+                            }
+                        }
+                    }
+                }
+                assert!(Instant::now() < deadline, "no PUBLISH arrived");
+                let mut chunk = [0u8; 4096];
+                match self.stream.read(&mut chunk) {
+                    Ok(0) => panic!("client closed the connection"),
+                    Ok(n) => {
+                        self.reads += 1;
+                        self.buf.extend_from_slice(&chunk[..n]);
+                    }
+                    Err(_) => {}
+                }
+            }
+        }
+    }
+
+    fn raw_peer(config: ClientConfig) -> (TcpPubSubClient, RawPeer) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpPubSubClient::connect_addr(listener.local_addr().unwrap(), config);
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        await_connected(&client);
+        let peer = RawPeer {
+            stream,
+            buf: Vec::new(),
+            reads: 0,
+        };
+        (client, peer)
+    }
+
+    #[test]
+    fn subscribe_on_an_idle_client_registers_at_once() {
+        let broker = crate::TcpBroker::bind("127.0.0.1:0").unwrap();
+        let client = TcpPubSubClient::connect_addr(broker.local_addr(), slow_tick());
+        await_connected(&client);
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        client.subscribe("idle.sub");
+        while broker.channel_subscribers("idle.sub") == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(2), "never registered");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "registered after {took:?}"
+        );
+        client.shutdown();
+        broker.shutdown();
+    }
+
+    #[test]
+    fn an_isolated_publish_goes_out_at_once() {
+        let (client, mut peer) = raw_peer(slow_tick());
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        client.publish("lone", b"first");
+        let (payload, at, _) = peer.next_publish();
+        assert!(payload.ends_with(b"first"));
+        let took = at - t0;
+        assert!(took < Duration::from_millis(50), "arrived after {took:?}");
+        client.shutdown();
+    }
+
+    #[test]
+    fn quiet_window_publishes_share_the_next_slot() {
+        let (client, mut peer) = raw_peer(slow_tick());
+        client.publish("slot", b"a");
+        let (_, first_at, _) = peer.next_publish();
+        // Both land inside the tick after the first flush: neither
+        // wakes the worker, and they leave together at the next slot.
+        client.publish("slot", b"b");
+        client.publish("slot", b"c");
+        let (b, b_at, b_read) = peer.next_publish();
+        let (c, c_at, c_read) = peer.next_publish();
+        assert!(b.ends_with(b"b") && c.ends_with(b"c"));
+        assert_eq!(b_read, c_read, "b and c came in separate writes");
+        let gap = b_at - first_at;
+        assert!(
+            gap >= Duration::from_millis(900),
+            "b left {gap:?} after the previous flush, inside the tick"
+        );
+        assert!(c_at - b_at < Duration::from_millis(50));
+        client.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_a_tick() {
+        let broker = crate::TcpBroker::bind("127.0.0.1:0").unwrap();
+        let client = TcpPubSubClient::connect_addr(broker.local_addr(), slow_tick());
+        await_connected(&client);
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        client.shutdown();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+        broker.shutdown();
     }
 }

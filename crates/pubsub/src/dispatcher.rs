@@ -50,7 +50,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::client::{frame_payload, ClientConfig, ClientEvent, MessageId, TcpPubSubClient};
+use crate::client::{
+    frame_payload, ClientConfig, ClientEvent, Doorbell, MessageId, TcpPubSubClient,
+};
 use crate::control::{control_channel, install_channel, ControlFrame, InstallFrame, Quarantine};
 use crate::dedup::Dedup;
 use crate::ids::{PlanId, ServerId};
@@ -63,7 +65,10 @@ pub struct SidecarConfig {
     pub ttl: Duration,
     /// Dedup window (wire ids) for forwarding-loop suppression.
     pub dedup_window: usize,
-    /// Pump thread granularity.
+    /// Housekeeping period of the pump thread: TTL expiry and the
+    /// rebuild of a watch connection that gave up run at most this
+    /// often. Installs and observed publications do not wait for it;
+    /// `install()` and every broker connection wake the pump.
     pub tick: Duration,
     /// Tuning for the underlying broker connections.
     pub client: ClientConfig,
@@ -151,6 +156,9 @@ struct SidecarShared {
     installs: Mutex<Vec<Install>>,
     stats: Mutex<SidecarStats>,
     active: Mutex<usize>,
+    /// Rung by `install()` and by the broker connections after a read
+    /// batch that brought messages or events; the pump sleeps on it.
+    doorbell: Arc<Doorbell>,
 }
 
 /// The dispatcher sidecar of one broker (see module docs).
@@ -175,6 +183,7 @@ impl DispatcherSidecar {
             installs: Mutex::new(Vec::new()),
             stats: Mutex::new(SidecarStats::default()),
             active: Mutex::new(0),
+            doorbell: Arc::new(Doorbell::default()),
         });
         let pump_shared = Arc::clone(&shared);
         let (event_tx, event_rx) = mpsc::channel();
@@ -208,6 +217,7 @@ impl DispatcherSidecar {
             plan,
             quarantine: Vec::new(),
         });
+        self.shared.doorbell.ring();
     }
 
     /// The next queued [`SidecarEvent`], if any.
@@ -230,6 +240,7 @@ impl DispatcherSidecar {
 
     fn stop(&mut self) {
         self.shared.running.store(false, Ordering::SeqCst);
+        self.shared.doorbell.ring();
         if let Some(handle) = self.pump.take() {
             let _ = handle.join();
         }
@@ -270,15 +281,19 @@ impl Pump {
         // Watch eagerly: the install channel must be listening before
         // the balancer's first plan delta, not after the first local
         // `install()` call.
+        let mut housekeeping = Instant::now();
         while self.shared.running.load(Ordering::SeqCst) {
-            // No-op while the watch is healthy; after a `GaveUp` this
-            // rebuilds the connection (and its subscriptions) so an
-            // outage longer than the retry budget still heals.
-            self.watch();
+            if Instant::now() >= housekeeping {
+                // No-op while the watch is healthy; after a `GaveUp`
+                // this rebuilds the connection (and its subscriptions)
+                // so an outage longer than the retry budget still heals.
+                self.watch();
+                self.expire();
+                housekeeping = Instant::now() + self.cfg.tick;
+            }
             self.apply_installs();
             self.drain_watch();
-            self.expire();
-            std::thread::sleep(self.cfg.tick);
+            self.shared.doorbell.wait_until(housekeeping);
         }
     }
 
@@ -294,8 +309,9 @@ impl Pump {
         let cfg = self.cfg.client.clone();
         let me = self.me.index();
         let channels = &self.channels;
+        let doorbell = Arc::clone(&self.shared.doorbell);
         self.watch.get_or_insert_with(|| {
-            let client = TcpPubSubClient::connect_addr(addr, cfg);
+            let client = TcpPubSubClient::connect_with_doorbell(addr, cfg, Some(doorbell));
             // (Re-)establish the control-plane subscriptions: the
             // balancer's install channel plus any channel state that
             // survived a dropped watch connection.
@@ -310,8 +326,11 @@ impl Pump {
     fn peer(&mut self, server: ServerId) -> &TcpPubSubClient {
         let idx = server.index();
         if !self.peers.contains_key(&idx) {
-            let client =
-                TcpPubSubClient::connect_addr(self.directory[idx], self.cfg.client.clone());
+            let client = TcpPubSubClient::connect_with_doorbell(
+                self.directory[idx],
+                self.cfg.client.clone(),
+                Some(Arc::clone(&self.shared.doorbell)),
+            );
             self.peers.insert(idx, client);
         }
         &self.peers[&idx]
@@ -433,6 +452,8 @@ impl Pump {
                     plan: frame.plan,
                     quarantine: frame.quarantine,
                 });
+                // Applied on the pump's next pass, without waiting.
+                self.shared.doorbell.ring();
             }
             return;
         }

@@ -38,7 +38,16 @@
 //! pending output"), and the flag stays set until a flush fully drains
 //! the queue — so a burst of pushes costs one notification, not one
 //! per frame, and an idle reactor loop is woken at most once per burst.
+//!
+//! A burst that arrives as one read batch on another loop would still
+//! ping-pong: the home loop wakes on the first frame, drains it, and
+//! re-arms the flag before the next one is pushed. A [`DeferNotify`]
+//! scope closes that gap: while a thread holds one, the notifications
+//! its pushes raise are held back and fired once, when the scope ends,
+//! so the home loop wakes once per batch and flushes it in one
+//! `writev`.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,7 +165,54 @@ struct Inner {
     notify: Option<Notifier>,
 }
 
+thread_local! {
+    /// Outboxes whose notification an open [`DeferNotify`] scope on
+    /// this thread holds back; `None` while no scope is open.
+    static DEFERRED: RefCell<Option<Vec<Arc<Inner>>>> = const { RefCell::new(None) };
+}
+
+/// Holds back the empty→pending notifications raised on this thread
+/// until the outermost scope drops, then fires each one. A nested
+/// scope defers to the outer one, so nothing fires twice.
+pub(crate) struct DeferNotify {
+    outermost: bool,
+}
+
+impl DeferNotify {
+    /// Opens a scope (or joins the one already open on this thread).
+    pub fn begin() -> DeferNotify {
+        let outermost = DEFERRED.with(|d| {
+            let mut d = d.borrow_mut();
+            if d.is_some() {
+                return false;
+            }
+            *d = Some(Vec::new());
+            true
+        });
+        DeferNotify { outermost }
+    }
+}
+
+impl Drop for DeferNotify {
+    fn drop(&mut self) {
+        if !self.outermost {
+            return;
+        }
+        let held = DEFERRED.with(|d| d.borrow_mut().take()).unwrap_or_default();
+        for inner in held {
+            inner.notify();
+        }
+    }
+}
+
 impl Inner {
+    /// Tells the home loop this outbox has pending output.
+    fn notify(&self) {
+        if let Some(notify) = &self.notify {
+            notify();
+        }
+    }
+
     /// Records `n` frames as shed, on both the per-connection and the
     /// broker-wide counter.
     fn record_dropped(&self, n: u64) {
@@ -276,9 +332,16 @@ impl OutboxSender {
             }
         };
         self.inner.record_dropped(shed);
-        if fire {
-            if let Some(notify) = &self.inner.notify {
-                notify();
+        if fire && self.inner.notify.is_some() {
+            let deferred = DEFERRED.with(|d| match d.borrow_mut().as_mut() {
+                Some(held) => {
+                    held.push(Arc::clone(&self.inner));
+                    true
+                }
+                None => false,
+            });
+            if !deferred {
+                self.inner.notify();
             }
         }
         // DropOldest and ConflateByChannel never report failure for an
@@ -708,6 +771,49 @@ mod tests {
         assert_eq!(tx.flush_to(&mut socket, &stats), Flush::Pending);
         tx.push(frame(8));
         assert_eq!(fired.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn deferral_fires_each_outbox_once_after_the_scope() {
+        const M: usize = 5;
+        let fired = Arc::new(AtomicU64::new(0));
+        let outboxes: Vec<OutboxSender> = (0..M)
+            .map(|_| {
+                let hits = Arc::clone(&fired);
+                OutboxSender::new_with(
+                    1024,
+                    OverflowPolicy::Kill,
+                    Arc::new(FlushCounters::default()),
+                    Some(Box::new(move || {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    })),
+                )
+            })
+            .collect();
+        {
+            let _outer = DeferNotify::begin();
+            for tx in &outboxes {
+                for _ in 0..3 {
+                    assert!(tx.push(frame(8)));
+                }
+            }
+            {
+                // A nested scope joins the outer one: its end fires
+                // nothing, and the outer end fires nothing twice.
+                let _inner = DeferNotify::begin();
+                for tx in &outboxes {
+                    assert!(tx.push(frame(8)));
+                }
+            }
+            assert_eq!(fired.load(Ordering::Relaxed), 0);
+        }
+        assert_eq!(fired.load(Ordering::Relaxed), M as u64);
+        // With no scope open, the next burst notifies at once again.
+        let stats = LoopIoStats::default();
+        let mut sink: Vec<u8> = Vec::new();
+        assert_eq!(outboxes[0].flush_to(&mut sink, &stats), Flush::Drained);
+        outboxes[0].push(frame(8));
+        assert_eq!(fired.load(Ordering::Relaxed), M as u64 + 1);
     }
 
     fn key(s: &str) -> FrameKey {

@@ -45,7 +45,7 @@ use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 
 use crate::broker::{encode_frame, handle_command, BrokerShared, ConnState};
-use crate::outbox::{Flush, LoopIoStats, OutboxSender};
+use crate::outbox::{DeferNotify, Flush, LoopIoStats, OutboxSender};
 use crate::resp::{self, Value};
 use crate::timer::TimerWheel;
 
@@ -417,7 +417,9 @@ impl ReactorLoop {
     }
 
     /// Reads until the socket is dry (or the fairness budget is spent),
-    /// executing every complete RESP frame.
+    /// executing every complete RESP frame. The outbox notifications
+    /// the batch raises fire once, after it: a burst of publications
+    /// wakes each subscriber's loop once, not once per frame.
     fn service_read(&mut self, conn: u64) {
         let Some(c) = self.conns.get_mut(&conn) else {
             return;
@@ -425,24 +427,31 @@ impl ReactorLoop {
         c.last_rx = Instant::now();
         let mut read_total = 0usize;
         let mut chunk = [0u8; 16 * 1024];
+        let defer = DeferNotify::begin();
         let close = 'read: loop {
             match c.stream.read(&mut chunk) {
                 Ok(0) => break 'read Some(Close::Client),
                 Ok(n) => {
                     c.buf.extend_from_slice(&chunk[..n]);
                     read_total += n;
-                    // Process every complete frame in the buffer.
-                    loop {
-                        match resp::decode(&c.buf) {
+                    // Execute every complete frame in the buffer, then
+                    // drop the consumed bytes in one drain.
+                    let mut pos = 0;
+                    let stop = loop {
+                        match resp::decode(&c.buf[pos..]) {
                             Ok(Some((value, used))) => {
-                                c.buf.drain(..used);
+                                pos += used;
                                 if !handle_command(&c.state, &value, &self.shared) {
-                                    break 'read Some(Close::Command);
+                                    break Some(Close::Command);
                                 }
                             }
-                            Ok(None) => break,
-                            Err(_) => break 'read Some(Close::Protocol),
+                            Ok(None) => break None,
+                            Err(_) => break Some(Close::Protocol),
                         }
+                    };
+                    c.buf.drain(..pos);
+                    if stop.is_some() {
+                        break 'read stop;
                     }
                     if read_total >= READ_BUDGET {
                         break 'read None;
@@ -453,6 +462,7 @@ impl ReactorLoop {
                 Err(_) => break 'read Some(Close::Read),
             }
         };
+        drop(defer);
         match close {
             None => {}
             Some(Close::Client) => {

@@ -69,7 +69,7 @@ use dynamoth_sim::SimRng;
 use parking_lot::Mutex;
 
 use crate::client::{
-    frame_payload, seeded_rng, ClientConfig, ClientEvent, GapReason, Message, MessageId,
+    frame_payload, seeded_rng, ClientConfig, ClientEvent, Doorbell, GapReason, Message, MessageId,
     TcpPubSubClient,
 };
 use crate::control::{channel_id_of, control_channel, ControlFrame};
@@ -87,7 +87,11 @@ pub struct RouterConfig {
     pub dedup_window: usize,
     /// Virtual identifiers per server on the fallback ring.
     pub vnodes: u32,
-    /// Pump thread granularity.
+    /// Housekeeping period of the pump thread: failure detection
+    /// (`failover_after` timers, probes) and grace-period unsubscribes
+    /// run at most this often. Deliveries and events do not wait for
+    /// it; each broker connection wakes the pump when a read brings
+    /// them.
     pub tick: Duration,
     /// How long a superseded subscription lingers after a switch before
     /// it is unsubscribed. Covers the connection-setup time of the new
@@ -174,6 +178,9 @@ struct RouterShared {
     pub_origin: u64,
     /// Sequence counter within `pub_origin`'s wire-id namespace.
     pub_seq: AtomicU64,
+    /// Rung by every broker connection after a read batch that brought
+    /// messages or events; the pump sleeps on it.
+    doorbell: Arc<Doorbell>,
 }
 
 /// Liveness view of one broker, updated by the pump thread and read at
@@ -284,6 +291,7 @@ impl RoutedClient {
             stale_frames: AtomicU64::new(0),
             deaths: AtomicU64::new(0),
             repoints: AtomicU64::new(0),
+            doorbell: Arc::new(Doorbell::default()),
         });
         let clients = Arc::new(Mutex::new(HashMap::new()));
         let routing = Arc::new(Mutex::new(Routing {
@@ -455,6 +463,7 @@ impl RoutedClient {
 
     fn stop(&mut self) {
         self.shared.running.store(false, Ordering::SeqCst);
+        self.shared.doorbell.ring();
         if let Some(handle) = self.pump.take() {
             let _ = handle.join();
         }
@@ -517,19 +526,7 @@ impl RoutedClient {
     /// subscribes its private control channel, so sidecars can reach
     /// this router on that broker.
     fn client_for(&self, idx: usize) -> Arc<TcpPubSubClient> {
-        let mut clients = self.clients.lock();
-        if let Some(c) = clients.get(&idx) {
-            return Arc::clone(c);
-        }
-        let client = Arc::new(connect_broker(
-            &self.directory,
-            idx,
-            &self.cfg.client,
-            self.cfg.seed,
-        ));
-        client.subscribe(&control_channel(client.origin()));
-        clients.insert(idx, Arc::clone(&client));
-        Arc::clone(&client)
+        client_via(&self.shared, &self.clients, &self.directory, &self.cfg, idx)
     }
 
     fn spawn_pump(
@@ -545,6 +542,7 @@ impl RoutedClient {
         let ring = self.ring.clone();
         std::thread::spawn(move || {
             let mut dedup = Dedup::new();
+            let mut housekeeping = Instant::now();
             while shared.running.load(Ordering::SeqCst) {
                 let snapshot: Vec<(usize, Arc<TcpPubSubClient>)> = clients
                     .lock()
@@ -577,11 +575,14 @@ impl RoutedClient {
                         mark_alive(&routing, idx);
                     }
                 }
-                check_health(
-                    &shared, &clients, &routing, &directory, &cfg, &ring, &event_tx,
-                );
-                drain_pending_unsubs(&clients, &routing);
-                std::thread::sleep(cfg.tick);
+                if Instant::now() >= housekeeping {
+                    check_health(
+                        &shared, &clients, &routing, &directory, &cfg, &ring, &event_tx,
+                    );
+                    drain_pending_unsubs(&clients, &routing);
+                    housekeeping = Instant::now() + cfg.tick;
+                }
+                shared.doorbell.wait_until(housekeeping);
             }
         })
     }
@@ -608,6 +609,7 @@ fn connect_broker(
     idx: usize,
     base: &ClientConfig,
     seed: Option<u64>,
+    doorbell: &Arc<Doorbell>,
 ) -> TcpPubSubClient {
     let mut cfg = base.clone();
     // Decorrelate per-broker client seeds: identical seeds would mean
@@ -615,7 +617,7 @@ fn connect_broker(
     // control channel across connections.
     cfg.seed =
         seed.map(|s| SimRng::new(s ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64());
-    TcpPubSubClient::connect_addr(directory[idx], cfg)
+    TcpPubSubClient::connect_with_doorbell(directory[idx], cfg, Some(Arc::clone(doorbell)))
 }
 
 /// Handles one frame delivered by broker `idx` inside the pump thread:
@@ -770,7 +772,7 @@ fn apply_control(
     // taken there, so its pre-migration history is not replayed.
     for &idx in wanted.difference(&current) {
         let from = r.entry_seq(idx, &channel);
-        subscribe_via(clients, directory, cfg, idx, &channel, Some(from));
+        subscribe_via(shared, clients, directory, cfg, idx, &channel, Some(from));
     }
     // Superseded brokers are not unsubscribed yet: the new subscriptions
     // may ride connections still being established, so the old ones
@@ -813,10 +815,12 @@ fn drain_pending_unsubs(
     }
 }
 
-/// `client_for`, callable from the pump thread (which has no
-/// `&RoutedClient`): the lazily created client for broker `idx`,
-/// control-channel subscription included.
+/// The lazily created client for broker `idx`; on creation it also
+/// subscribes its private control channel, so sidecars can reach this
+/// router on that broker. Callable from the pump thread, which has no
+/// `&RoutedClient`.
 fn client_via(
+    shared: &RouterShared,
     clients: &Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
     directory: &[SocketAddr],
     cfg: &RouterConfig,
@@ -824,7 +828,13 @@ fn client_via(
 ) -> Arc<TcpPubSubClient> {
     let mut map = clients.lock();
     let client = map.entry(idx).or_insert_with(|| {
-        let c = Arc::new(connect_broker(directory, idx, &cfg.client, cfg.seed));
+        let c = Arc::new(connect_broker(
+            directory,
+            idx,
+            &cfg.client,
+            cfg.seed,
+            &shared.doorbell,
+        ));
         c.subscribe(&control_channel(c.origin()));
         c
     });
@@ -834,6 +844,7 @@ fn client_via(
 /// `client_for` + `subscribe`/`subscribe_from`, callable from the pump
 /// thread (which has no `&RoutedClient`).
 fn subscribe_via(
+    shared: &RouterShared,
     clients: &Arc<Mutex<HashMap<usize, Arc<TcpPubSubClient>>>>,
     directory: &[SocketAddr],
     cfg: &RouterConfig,
@@ -841,7 +852,7 @@ fn subscribe_via(
     channel: &str,
     from: Option<u64>,
 ) {
-    let client = client_via(clients, directory, cfg, idx);
+    let client = client_via(shared, clients, directory, cfg, idx);
     match from {
         Some(f) => client.subscribe_from(channel, f),
         None => client.subscribe(channel),
@@ -1053,6 +1064,7 @@ fn declare_dead(
                 .insert(channel.clone(), (ChannelMapping::Single(target), PlanId(0)));
             let from = r.entry_seq(target.index(), &channel);
             subscribe_via(
+                shared,
                 clients,
                 directory,
                 cfg,
@@ -1102,7 +1114,7 @@ fn declare_dead(
                 }
             };
             if let Some(target) = target {
-                client_via(clients, directory, cfg, target).publish_raw(&channel, &framed);
+                client_via(shared, clients, directory, cfg, target).publish_raw(&channel, &framed);
             }
         }
     }
@@ -1116,5 +1128,45 @@ mod tests {
     #[should_panic(expected = "at least one broker")]
     fn empty_directory_panics() {
         let _ = RoutedClient::connect(Vec::new(), RouterConfig::default());
+    }
+
+    #[test]
+    fn a_delivery_does_not_wait_for_the_pump_tick() {
+        let broker = crate::TcpBroker::bind("127.0.0.1:0").unwrap();
+        let router = RoutedClient::connect(
+            vec![broker.local_addr()],
+            RouterConfig {
+                tick: Duration::from_secs(1),
+                seed: Some(3),
+                ..RouterConfig::default()
+            },
+        );
+        router.subscribe("wake");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while broker.channel_subscribers("wake") == 0 {
+            assert!(Instant::now() < deadline, "never registered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let publisher = TcpPubSubClient::connect_addr(broker.local_addr(), ClientConfig::default());
+        while !matches!(
+            publisher.event_timeout(Duration::from_millis(50)),
+            Some(ClientEvent::Connected { .. })
+        ) {
+            assert!(Instant::now() < deadline, "publisher never connected");
+        }
+        // Let both ends go quiet, so neither the pump nor the
+        // publisher is awake already when the publication lands.
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        publisher.publish("wake", b"now");
+        let msg = router
+            .message_timeout(Duration::from_secs(3))
+            .expect("delivered");
+        let took = t0.elapsed();
+        assert_eq!(msg.payload, b"now");
+        assert!(took < Duration::from_millis(50), "delivered after {took:?}");
+        publisher.shutdown();
+        router.shutdown();
+        broker.shutdown();
     }
 }
